@@ -21,7 +21,7 @@ int main() {
   WalkEstimateOptions wopts;
   wopts.diameter_bound = static_cast<int>(ds.diameter_estimate);
   wopts.estimate.crawl_hops = 1;
-  BurnInSampler::Options bopts;
+  BurnInOptions bopts;
   bopts.max_steps = 20000;
 
   const AggregateSpec avg_degree{"avg_degree", ""};

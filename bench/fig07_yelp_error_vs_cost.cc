@@ -23,7 +23,7 @@ int main() {
   // EXPERIMENTS.md calibration note).
   wopts.estimate.base_reps = 12;
   wopts.estimate.max_extra_reps = 24;
-  BurnInSampler::Options bopts;
+  BurnInOptions bopts;
   bopts.max_steps = 20000;
 
   std::vector<Subfigure> subs;

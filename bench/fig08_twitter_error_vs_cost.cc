@@ -21,7 +21,7 @@ int main() {
   wopts.estimate.crawl_hops = 2;  // paper: h = 2 for Twitter
   wopts.estimate.base_reps = 12;
   wopts.estimate.max_extra_reps = 24;
-  BurnInSampler::Options bopts;
+  BurnInOptions bopts;
   bopts.max_steps = 20000;
 
   std::vector<Subfigure> subs;

@@ -25,7 +25,7 @@ int main() {
     wopts.diameter_bound = static_cast<int>(ds.diameter_estimate);
     wopts.estimate.crawl_hops = 2;  // paper: h = 2 for synthetic graphs
     wopts.estimate.base_reps = 10;
-    BurnInSampler::Options bopts;
+    BurnInOptions bopts;
     bopts.max_steps = 20000;
 
     std::vector<Subfigure> subs;

@@ -24,7 +24,7 @@ int main() {
   const NodeId n = ds.graph.num_nodes();
   const std::vector<double> uniform(n, 1.0 / n);
 
-  BurnInSampler::Options bopts;
+  BurnInOptions bopts;
   bopts.max_steps = 10000;
   const auto srw_run = RunEmpiricalDistribution(
       ds, MakeBurnInSpec("srw", bopts), env.samples, env.seed + 1);

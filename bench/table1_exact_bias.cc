@@ -28,7 +28,7 @@ int main() {
   // SRW with the Geweke monitor, sampling distribution measured empirically
   // (its stationary distribution is degree-proportional: the uncorrected
   // bias the paper quantifies).
-  BurnInSampler::Options bopts;
+  BurnInOptions bopts;
   bopts.max_steps = 10000;
   const SamplerSpec srw = MakeBurnInSpec("srw", bopts);
   const auto srw_run =

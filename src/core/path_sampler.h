@@ -8,72 +8,40 @@
 // EffectiveSampleSize; see bench/ablation_path_sampler).
 #pragma once
 
-#include <deque>
+#include <memory>
 
-#include "core/estimate.h"
-#include "core/samplers.h"
 #include "core/walk_estimate.h"
-#include "mcmc/rejection.h"
 
 namespace wnw {
 
-class WalkEstimatePathSampler final : public Sampler {
- public:
-  struct Options {
-    /// Walk length / estimation / rejection settings shared with the plain
-    /// sampler.
-    WalkEstimateOptions base;
+struct WalkEstimatePathOptions {
+  /// Walk length / estimation / rejection settings shared with the plain
+  /// sampler.
+  WalkEstimateOptions base;
 
-    /// First step considered a candidate; 0 derives it from
-    /// base.diameter_bound (the distribution can only have full support
-    /// once the walk has covered the diameter).
-    int min_candidate_step = 0;
+  /// First step considered a candidate; 0 derives it from
+  /// base.diameter_bound (the distribution can only have full support
+  /// once the walk has covered the diameter).
+  int min_candidate_step = 0;
 
-    /// Consider every `stride`-th step in [min_candidate_step, t]. Larger
-    /// strides trade samples-per-walk for weaker correlation.
-    int stride = 1;
+  /// Consider every `stride`-th step in [min_candidate_step, t]. Larger
+  /// strides trade samples-per-walk for weaker correlation.
+  int stride = 1;
 
-    /// Guard: walks attempted per Draw() before giving up.
-    int max_walks_per_draw = 100000;
+  /// Guard: walks attempted per sample before giving up.
+  int max_walks_per_draw = 100000;
 
-    int EffectiveMinStep() const {
-      return min_candidate_step > 0 ? min_candidate_step
-                                    : base.diameter_bound;
-    }
-  };
-
-  WalkEstimatePathSampler(AccessInterface* access,
-                          const TransitionDesign* design, NodeId start,
-                          Options options, uint64_t seed);
-
-  std::string_view name() const override { return name_; }
-  Result<NodeId> Draw() override;
-  double TargetWeight(NodeId u) override;
-
-  uint64_t walks_run() const { return walks_; }
-  uint64_t samples_accepted() const { return accepted_; }
-  /// Average accepted samples per forward walk (the amortization factor).
-  double samples_per_walk() const {
-    return walks_ == 0
-               ? 0.0
-               : static_cast<double>(accepted_) / static_cast<double>(walks_);
+  int EffectiveMinStep() const {
+    return min_candidate_step > 0 ? min_candidate_step : base.diameter_bound;
   }
-
- private:
-  AccessInterface* access_;
-  const TransitionDesign* design_;
-  NodeId start_;
-  Options options_;
-  Rng rng_;
-  std::string name_;
-  ProbabilityEstimator estimator_;
-  RejectionSampler rejection_;
-  bool prepared_ = false;
-  std::vector<NodeId> path_buf_;
-  std::vector<NodeId> candidate_buf_;  // per-walk Prefetch batch
-  std::deque<NodeId> pending_;
-  uint64_t walks_ = 0;
-  uint64_t accepted_ = 0;
 };
+
+/// Compiles the path sampler to its step program. It shares its forward
+/// walk and acceptance step with the plain sampler, so it is defined next
+/// to it in core/walk_estimate.cc. Out-of-range options come back as
+/// InvalidArgument.
+Result<std::unique_ptr<WalkerProgram>> MakeWalkEstimatePathProgram(
+    const WalkEstimatePathOptions& options, const TransitionDesign* design,
+    const ProgramContext& context);
 
 }  // namespace wnw

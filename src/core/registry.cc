@@ -307,7 +307,7 @@ TargetBias BiasForWalkSpec(std::string_view walk_spec) {
 
 namespace {
 
-void ReadBurnInParams(ParamReader& reader, BurnInSampler::Options* options) {
+void ReadBurnInParams(ParamReader& reader, BurnInOptions* options) {
   reader.Read("check_interval", &options->check_interval);
   reader.Read("min_steps", &options->min_steps);
   reader.Read("max_steps", &options->max_steps);
@@ -317,9 +317,9 @@ void ReadBurnInParams(ParamReader& reader, BurnInSampler::Options* options) {
   reader.Read("geweke_min", &options->geweke.min_samples);
 }
 
-void EncodeBurnInParams(const BurnInSampler::Options& options,
+void EncodeBurnInParams(const BurnInOptions& options,
                         SamplerConfig* config) {
-  const BurnInSampler::Options defaults;
+  const BurnInOptions defaults;
   if (options.check_interval != defaults.check_interval) {
     config->SetInt("check_interval", options.check_interval);
   }
@@ -415,138 +415,68 @@ void EncodeWalkEstimateParams(const WalkEstimateOptions& options,
   }
 }
 
-// --- built-in factories ------------------------------------------------------
+// --- built-in compilers ------------------------------------------------------
 
-Result<std::unique_ptr<Sampler>> MakeBurnIn(const SamplerConfig& config,
-                                            AccessInterface* access,
-                                            const TransitionDesign* design,
-                                            NodeId start, uint64_t seed) {
+Result<std::unique_ptr<WalkerProgram>> CompileBurnIn(
+    const SamplerConfig& config, const TransitionDesign* design,
+    const ProgramContext& context, bool /*allow_flat*/) {
   ParamReader reader(config);
-  BurnInSampler::Options options;
+  BurnInOptions options;
   ReadBurnInParams(reader, &options);
   WNW_RETURN_IF_ERROR(reader.Finish());
-  return std::unique_ptr<Sampler>(
-      std::make_unique<BurnInSampler>(access, design, start, options, seed));
+  return MakeBurnInProgram(options, design, context);
 }
 
-Result<std::unique_ptr<Sampler>> MakeLongRun(const SamplerConfig& config,
-                                             AccessInterface* access,
-                                             const TransitionDesign* design,
-                                             NodeId start, uint64_t seed) {
+Result<std::unique_ptr<WalkerProgram>> CompileLongRun(
+    const SamplerConfig& config, const TransitionDesign* design,
+    const ProgramContext& context, bool /*allow_flat*/) {
   ParamReader reader(config);
-  OneLongRunSampler::Options options;
+  LongRunOptions options;
   ReadBurnInParams(reader, &options.burn_in);
   reader.Read("thinning", &options.thinning);
   WNW_RETURN_IF_ERROR(reader.Finish());
-  return std::unique_ptr<Sampler>(std::make_unique<OneLongRunSampler>(
-      access, design, start, options, seed));
+  return MakeLongRunProgram(options, design, context);
 }
 
-Result<std::unique_ptr<Sampler>> MakeFixedWalk(const SamplerConfig& config,
-                                               AccessInterface* access,
-                                               const TransitionDesign* design,
-                                               NodeId start, uint64_t seed) {
+Result<std::unique_ptr<WalkerProgram>> CompileFixedWalk(
+    const SamplerConfig& config, const TransitionDesign* design,
+    const ProgramContext& context, bool allow_flat) {
   ParamReader reader(config);
-  FixedWalkSampler::Options options;
+  FixedWalkOptions options;
   reader.Read("steps", &options.steps);
   WNW_RETURN_IF_ERROR(reader.Finish());
-  if (options.steps < 1) {
-    return Status::InvalidArgument("sampler 'walk': steps must be >= 1");
-  }
-  return std::unique_ptr<Sampler>(
-      std::make_unique<FixedWalkSampler>(access, design, start, options, seed));
+  return MakeFixedWalkProgram(options, design, context, allow_flat);
 }
 
-Result<std::unique_ptr<Sampler>> MakeWalkEstimate(
-    const SamplerConfig& config, AccessInterface* access,
-    const TransitionDesign* design, NodeId start, uint64_t seed) {
+Result<std::unique_ptr<WalkerProgram>> CompileWalkEstimate(
+    const SamplerConfig& config, const TransitionDesign* design,
+    const ProgramContext& context, bool /*allow_flat*/) {
   ParamReader reader(config);
-  auto options = ReadWalkEstimateParams(reader);
-  if (!options.ok()) return options.status();
+  WNW_ASSIGN_OR_RETURN(const WalkEstimateOptions options,
+                       ReadWalkEstimateParams(reader));
   WNW_RETURN_IF_ERROR(reader.Finish());
-  return std::unique_ptr<Sampler>(std::make_unique<WalkEstimateSampler>(
-      access, design, start, *options, seed));
+  return MakeWalkEstimateProgram(options, design, context);
 }
 
-Result<std::unique_ptr<Sampler>> MakeWalkEstimatePath(
-    const SamplerConfig& config, AccessInterface* access,
-    const TransitionDesign* design, NodeId start, uint64_t seed) {
+Result<std::unique_ptr<WalkerProgram>> CompileWalkEstimatePath(
+    const SamplerConfig& config, const TransitionDesign* design,
+    const ProgramContext& context, bool /*allow_flat*/) {
   ParamReader reader(config);
-  WalkEstimatePathSampler::Options options;
-  auto base = ReadWalkEstimateParams(reader);
-  if (!base.ok()) return base.status();
-  options.base = *base;
+  WalkEstimatePathOptions options;
+  WNW_ASSIGN_OR_RETURN(options.base, ReadWalkEstimateParams(reader));
   reader.Read("min_step", &options.min_candidate_step);
   reader.Read("stride", &options.stride);
   reader.Read("max_walks", &options.max_walks_per_draw);
   WNW_RETURN_IF_ERROR(reader.Finish());
-  if (options.stride < 1) {
-    return Status::InvalidArgument("sampler 'we-path': stride must be >= 1");
-  }
-  return std::unique_ptr<Sampler>(std::make_unique<WalkEstimatePathSampler>(
-      access, design, start, options, seed));
+  return MakeWalkEstimatePathProgram(options, design, context);
 }
 
 }  // namespace
 
-// --- public option codecs ----------------------------------------------------
-
-Status ReadBurnInOptions(const SamplerConfig& config,
-                         BurnInSampler::Options* out) {
-  ParamReader reader(config);
-  ReadBurnInParams(reader, out);
-  return reader.Finish();
-}
-
-Status ReadLongRunOptions(const SamplerConfig& config,
-                          OneLongRunSampler::Options* out) {
-  ParamReader reader(config);
-  ReadBurnInParams(reader, &out->burn_in);
-  reader.Read("thinning", &out->thinning);
-  return reader.Finish();
-}
-
-Status ReadFixedWalkOptions(const SamplerConfig& config,
-                            FixedWalkSampler::Options* out) {
-  ParamReader reader(config);
-  reader.Read("steps", &out->steps);
-  WNW_RETURN_IF_ERROR(reader.Finish());
-  if (out->steps < 1) {
-    return Status::InvalidArgument("sampler 'walk': steps must be >= 1");
-  }
-  return Status::OK();
-}
-
-Result<WalkEstimateOptions> ReadWalkEstimateOptions(
-    const SamplerConfig& config) {
-  ParamReader reader(config);
-  auto options = ReadWalkEstimateParams(reader);
-  if (!options.ok()) return options.status();
-  WNW_RETURN_IF_ERROR(reader.Finish());
-  return *options;
-}
-
-Result<WalkEstimatePathSampler::Options> ReadWalkEstimatePathOptions(
-    const SamplerConfig& config) {
-  ParamReader reader(config);
-  WalkEstimatePathSampler::Options options;
-  auto base = ReadWalkEstimateParams(reader);
-  if (!base.ok()) return base.status();
-  options.base = *base;
-  reader.Read("min_step", &options.min_candidate_step);
-  reader.Read("stride", &options.stride);
-  reader.Read("max_walks", &options.max_walks_per_draw);
-  WNW_RETURN_IF_ERROR(reader.Finish());
-  if (options.stride < 1) {
-    return Status::InvalidArgument("sampler 'we-path': stride must be >= 1");
-  }
-  return options;
-}
-
 // --- config builders ---------------------------------------------------------
 
 SamplerConfig MakeBurnInConfig(std::string walk,
-                               const BurnInSampler::Options& options) {
+                               const BurnInOptions& options) {
   SamplerConfig config;
   config.sampler = "burnin";
   config.walk = std::move(walk);
@@ -555,12 +485,12 @@ SamplerConfig MakeBurnInConfig(std::string walk,
 }
 
 SamplerConfig MakeLongRunConfig(std::string walk,
-                                const OneLongRunSampler::Options& options) {
+                                const LongRunOptions& options) {
   SamplerConfig config;
   config.sampler = "longrun";
   config.walk = std::move(walk);
   EncodeBurnInParams(options.burn_in, &config);
-  const OneLongRunSampler::Options defaults;
+  const LongRunOptions defaults;
   if (options.thinning != defaults.thinning) {
     config.SetInt("thinning", options.thinning);
   }
@@ -579,12 +509,12 @@ SamplerConfig MakeWalkEstimateConfig(std::string walk,
 }
 
 SamplerConfig MakeWalkEstimatePathConfig(
-    std::string walk, const WalkEstimatePathSampler::Options& options) {
+    std::string walk, const WalkEstimatePathOptions& options) {
   SamplerConfig config;
   config.sampler = "we-path";
   config.walk = std::move(walk);
   EncodeWalkEstimateParams(options.base, WalkEstimateVariant::kFull, &config);
-  const WalkEstimatePathSampler::Options defaults;
+  const WalkEstimatePathOptions defaults;
   if (options.min_candidate_step != defaults.min_candidate_step) {
     config.SetInt("min_step", options.min_candidate_step);
   }
@@ -606,37 +536,37 @@ SamplerRegistry& SamplerRegistry::Global() {
         "burnin",
         {"random walk + Geweke burn-in, one sample per walk "
          "(check_interval, min_steps, max_steps, geweke_*)",
-         MakeBurnIn});
+         CompileBurnIn});
     (void)r->Register(
         "longrun",
         {"burn in once, then every visited node is a sample "
          "(thinning + all burnin options)",
-         MakeLongRun});
+         CompileLongRun});
     (void)r->Register(
         "we",
         {"WALK-ESTIMATE, no burn-in (variant=full|none|crawl|weighted, "
          "diameter, walk_length, crawl_hops, epsilon, base_reps, "
          "max_extra_reps, target_rse, percentile, scale, max_candidates)",
-         MakeWalkEstimate});
+         CompileWalkEstimate});
     (void)r->Register(
         "walk",
         {"fixed-length walk chain: advance the persistent walk by `steps` "
          "design steps per draw, the landing node is the sample (steps)",
-         MakeFixedWalk});
+         CompileFixedWalk});
     (void)r->Register(
         "we-path",
         {"WALK-ESTIMATE over whole walk paths, several samples per walk "
          "(min_step, stride, max_walks + all we options)",
-         MakeWalkEstimatePath});
+         CompileWalkEstimatePath});
     return r;
   }();
   return *registry;
 }
 
 Status SamplerRegistry::Register(std::string name, Entry entry) {
-  if (name.empty() || entry.make == nullptr) {
+  if (name.empty() || entry.compile == nullptr) {
     return Status::InvalidArgument("sampler registration needs a name and "
-                                   "a factory");
+                                   "a compiler");
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (!entries_.emplace(std::move(name), std::move(entry)).second) {
@@ -664,10 +594,10 @@ std::string SamplerRegistry::Summary(std::string_view name) const {
   return it == entries_.end() ? "" : it->second.summary;
 }
 
-Result<std::unique_ptr<Sampler>> SamplerRegistry::Create(
-    const SamplerConfig& config, AccessInterface* access,
-    const TransitionDesign* design, NodeId start, uint64_t seed) const {
-  Factory make;
+Result<std::unique_ptr<WalkerProgram>> SamplerRegistry::Compile(
+    const SamplerConfig& config, const TransitionDesign* design,
+    const ProgramContext& context, bool allow_flat) const {
+  Compiler compile;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(config.sampler);
@@ -677,9 +607,9 @@ Result<std::unique_ptr<Sampler>> SamplerRegistry::Create(
       return Status::NotFound("unknown sampler '" + config.sampler +
                               "' (registered: " + JoinNames(names) + ")");
     }
-    make = it->second.make;
+    compile = it->second.compile;
   }
-  return make(config, access, design, start, seed);
+  return compile(config, design, context, allow_flat);
 }
 
 }  // namespace wnw

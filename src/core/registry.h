@@ -9,8 +9,9 @@
 // e.g. "we:mhrw?variant=crawl&diameter=10", "burnin:srw?max_steps=20000",
 // "longrun:srw?thinning=4", "we-path:mhrw". The walk part is any
 // MakeTransitionDesign() spec (srw | mhrw | lazy | maxdeg:<bound>) and
-// defaults to srw. New samplers register a factory under a name and are
-// immediately usable from every bench, example, and the CLI.
+// defaults to srw. New samplers register a program compiler under a name
+// and are immediately usable from every session, walker pool, engine run,
+// bench, example, and the CLI.
 #pragma once
 
 #include <functional>
@@ -26,6 +27,7 @@
 #include "core/path_sampler.h"
 #include "core/samplers.h"
 #include "core/walk_estimate.h"
+#include "core/walker_program.h"
 #include "estimation/aggregates.h"
 #include "util/status.h"
 
@@ -42,8 +44,8 @@ struct SamplerConfig {
 
   /// Parses a spec string. Syntax errors (empty sampler name, missing '=',
   /// duplicate or empty keys) come back as InvalidArgument; whether the
-  /// sampler name and keys are *known* is checked at construction time by
-  /// the registered factory.
+  /// sampler name and keys are *known* is checked at compile time by the
+  /// registered compiler.
   static Result<SamplerConfig> Parse(std::string_view spec);
 
   /// The canonical spec string for this config.
@@ -60,7 +62,7 @@ struct SamplerConfig {
   bool operator==(const SamplerConfig&) const = default;
 };
 
-/// Helper for factories reading SamplerConfig::params into options structs.
+/// Helper for compilers reading SamplerConfig::params into options structs.
 /// Each Read() consumes a key (absent keys leave *out untouched and return
 /// false); Finish() reports the first malformed value or any key nobody
 /// consumed — so misspelled options fail loudly instead of being ignored.
@@ -85,23 +87,26 @@ class ParamReader {
   Status status_;
 };
 
-/// String-keyed factory registry for samplers. Thread-safe; the global
-/// instance comes pre-loaded with the built-ins ("burnin", "longrun", "walk",
-/// "we", "we-path"). New sampler families (stratified walks, indirect jumps, ...)
+/// String-keyed registry of sampler program compilers — the one place a
+/// sampler name is dispatched. Thread-safe; the global instance comes
+/// pre-loaded with the built-ins ("burnin", "longrun", "walk", "we",
+/// "we-path"). New sampler families (stratified walks, indirect jumps, ...)
 /// register once here and become addressable from every spec string.
 class SamplerRegistry {
  public:
-  /// Builds a sampler bound to an access session. `design` is the parsed
-  /// config.walk transition design and outlives the sampler; the factory
-  /// validates config.params and returns InvalidArgument on unknown or
-  /// malformed options.
-  using Factory = std::function<Result<std::unique_ptr<Sampler>>(
-      const SamplerConfig& config, AccessInterface* access,
-      const TransitionDesign* design, NodeId start, uint64_t seed)>;
+  /// Compiles a config to its step program. `design` is the parsed
+  /// config.walk transition design and outlives the program; the compiler
+  /// validates config.params and returns InvalidArgument on unknown,
+  /// malformed or out-of-range options. `allow_flat` admits a flat program
+  /// (the caller asserts the backend is deterministic, unrestricted and
+  /// cache-free); compilers without one ignore it.
+  using Compiler = std::function<Result<std::unique_ptr<WalkerProgram>>(
+      const SamplerConfig& config, const TransitionDesign* design,
+      const ProgramContext& context, bool allow_flat)>;
 
   struct Entry {
     std::string summary;  // one-line help: options and their meaning
-    Factory make;
+    Compiler compile;
   };
 
   /// The process-wide registry, built-ins included.
@@ -116,12 +121,11 @@ class SamplerRegistry {
   /// One-line summary for a registered sampler ("" when unknown).
   std::string Summary(std::string_view name) const;
 
-  /// Looks up config.sampler and invokes its factory. Unknown sampler names
-  /// return NotFound listing the registered ones.
-  Result<std::unique_ptr<Sampler>> Create(const SamplerConfig& config,
-                                          AccessInterface* access,
-                                          const TransitionDesign* design,
-                                          NodeId start, uint64_t seed) const;
+  /// Looks up config.sampler and invokes its compiler. Unknown sampler
+  /// names return NotFound listing the registered ones.
+  Result<std::unique_ptr<WalkerProgram>> Compile(
+      const SamplerConfig& config, const TransitionDesign* design,
+      const ProgramContext& context, bool allow_flat) const;
 
  private:
   mutable std::mutex mu_;
@@ -134,30 +138,14 @@ class SamplerRegistry {
 // experiment harness wrappers use.
 
 SamplerConfig MakeBurnInConfig(std::string walk,
-                               const BurnInSampler::Options& options = {});
+                               const BurnInOptions& options = {});
 SamplerConfig MakeLongRunConfig(std::string walk,
-                                const OneLongRunSampler::Options& options = {});
+                                const LongRunOptions& options = {});
 SamplerConfig MakeWalkEstimateConfig(
     std::string walk, WalkEstimateOptions options = {},
     WalkEstimateVariant variant = WalkEstimateVariant::kFull);
 SamplerConfig MakeWalkEstimatePathConfig(
-    std::string walk, const WalkEstimatePathSampler::Options& options = {});
-
-// --- option codecs -----------------------------------------------------------
-// Parse a SamplerConfig's params into the typed option structs exactly as the
-// registered factories do (same keys, same validation, unknown keys rejected).
-// The block engine (src/engine/) compiles registry samplers down to per-step
-// walker programs and needs the typed options without constructing a Sampler.
-
-Status ReadBurnInOptions(const SamplerConfig& config,
-                         BurnInSampler::Options* out);
-Status ReadLongRunOptions(const SamplerConfig& config,
-                          OneLongRunSampler::Options* out);
-Status ReadFixedWalkOptions(const SamplerConfig& config,
-                            FixedWalkSampler::Options* out);
-Result<WalkEstimateOptions> ReadWalkEstimateOptions(const SamplerConfig& config);
-Result<WalkEstimatePathSampler::Options> ReadWalkEstimatePathOptions(
-    const SamplerConfig& config);
+    std::string walk, const WalkEstimatePathOptions& options = {});
 
 /// Spec-string key for a Figure 9 variant ("full", "none", "crawl",
 /// "weighted") and its inverse.
@@ -168,7 +156,7 @@ Result<WalkEstimateVariant> ParseVariantKey(std::string_view key);
 /// backend selection (backend=latency&mean_ms=...), origin sharding
 /// (shards=8&partition=hash|range|degree), and fetch-executor sizing
 /// (window=8&threads=4). SamplingSession::Open peels these off before the
-/// sampler factory validates the remaining params, so no sampler may
+/// sampler compiler validates the remaining params, so no sampler may
 /// register an option under a reserved name. The table is the single list
 /// CLI help and docs/SPEC_STRINGS.md render; the typed extraction lives in
 /// core/session.cc and must stay in sync with it.

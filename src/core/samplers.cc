@@ -1,136 +1,260 @@
 #include "core/samplers.h"
 
-#include "util/check.h"
+#include <string>
+
+#include "core/session.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace wnw {
 
-// ------------------------------------------------------ BurnInSampler ------
+namespace {
 
-BurnInSampler::BurnInSampler(AccessInterface* access,
-                             const TransitionDesign* design, NodeId start,
-                             Options options, uint64_t seed)
-    : access_(access),
-      design_(design),
-      start_(start),
-      options_(options),
-      rng_(seed),
-      name_(std::string(design->name()) + "+Geweke") {
-  WNW_CHECK(access_ != nullptr && design_ != nullptr);
-  WNW_CHECK(options_.min_steps >= 1 && options_.check_interval >= 1);
-  WNW_CHECK(options_.max_steps >= options_.min_steps);
+Status ValidateBurnIn(const char* sampler, const BurnInOptions& options) {
+  if (options.min_steps < 1 || options.check_interval < 1 ||
+      options.max_steps < options.min_steps) {
+    return Status::InvalidArgument(
+        std::string("sampler '") + sampler +
+        "': burn-in needs min_steps >= 1, check_interval >= 1 and "
+        "max_steps >= min_steps");
+  }
+  const GewekeOptions& geweke = options.geweke;
+  if (!(geweke.first_frac > 0.0 && geweke.first_frac < 1.0) ||
+      !(geweke.last_frac > 0.0 && geweke.last_frac < 1.0) ||
+      geweke.first_frac + geweke.last_frac > 1.0) {
+    return Status::InvalidArgument(
+        std::string("sampler '") + sampler +
+        "': geweke_first and geweke_last must lie in (0, 1) and sum to at "
+        "most 1");
+  }
+  return Status::OK();
 }
 
-Result<NodeId> BurnInSampler::Draw() {
-  // Fresh walk, fresh monitor: "many short runs" semantics. The observable
-  // is the node degree (the paper's typical theta).
-  GewekeMonitor monitor(options_.geweke);
-  NodeId cur = start_;
-  monitor.Add(static_cast<double>(access_->EffectiveDegree(cur)));
-  int steps = 0;
-  while (steps < options_.max_steps) {
-    cur = design_->Step(*access_, cur, rng_);
-    monitor.Add(static_cast<double>(access_->EffectiveDegree(cur)));
-    ++steps;
-    if (steps >= options_.min_steps && steps % options_.check_interval == 0 &&
-        monitor.Converged()) {
-      break;
-    }
+// Geweke burn-in, shared by burnin and longrun. BurnInStart begins a fresh
+// monitored walk from home and observes the start node's degree.
+void BurnInStart(EngineWalker& w, const BurnInOptions& options) {
+  WalkerSession& side = *w.side;
+  side.monitor = std::make_unique<GewekeMonitor>(options.geweke);
+  w.state.node = w.state.home;
+  side.monitor->Add(
+      static_cast<double>(side.access->EffectiveDegree(w.state.node)));
+  w.state.aux = 0;
+}
+
+// One design step of the monitored walk; aux counts its steps. Returns true
+// when the walk is burned in (the Geweke verdict or the step cap).
+bool BurnInStep(EngineWalker& w, const TransitionDesign& design,
+                const BurnInOptions& options, std::string_view name) {
+  WalkerSession& side = *w.side;
+  w.state.node = design.Step(*side.access, w.state.node, w.rng);
+  side.monitor->Add(
+      static_cast<double>(side.access->EffectiveDegree(w.state.node)));
+  const int steps = static_cast<int>(++w.state.aux);
+  const bool capped = steps >= options.max_steps;
+  if (!capped &&
+      !(steps >= options.min_steps && steps % options.check_interval == 0 &&
+        side.monitor->Converged())) {
+    return false;
   }
-  if (steps >= options_.max_steps) {
-    WNW_LOG(kDebug) << name_ << ": burn-in cap " << options_.max_steps
+  if (capped) {
+    WNW_LOG(kDebug) << name << ": burn-in cap " << options.max_steps
                     << " hit; taking current node";
   }
-  last_burn_in_ = steps;
-  total_burn_in_ += static_cast<uint64_t>(steps);
-  ++draws_;
-  return cur;
+  ++side.walks;
+  side.walk_steps += w.state.aux;
+  side.last_walk_steps = w.state.aux;
+  return true;
 }
 
-double BurnInSampler::TargetWeight(NodeId u) {
-  return design_->StationaryWeight(*access_, u);
-}
-
-double BurnInSampler::average_burn_in() const {
-  return draws_ == 0 ? 0.0
-                     : static_cast<double>(total_burn_in_) /
-                           static_cast<double>(draws_);
-}
-
-// --------------------------------------------------- FixedWalkSampler ------
-
-FixedWalkSampler::FixedWalkSampler(AccessInterface* access,
-                                   const TransitionDesign* design,
-                                   NodeId start, Options options,
-                                   uint64_t seed)
-    : access_(access),
-      design_(design),
-      options_(options),
-      rng_(seed),
-      name_(std::string(design->name()) + "+FixedWalk"),
-      current_(start) {
-  WNW_CHECK(access_ != nullptr && design_ != nullptr);
-  WNW_CHECK(options_.steps >= 1);
-}
-
-Result<NodeId> FixedWalkSampler::Draw() {
-  for (int i = 0; i < options_.steps; ++i) {
-    current_ = design_->Step(*access_, current_, rng_);
+// Shared tail of every fixed-stride walk: aux counts steps into the current
+// stretch; every `stride`-th step emits the landing node.
+ResumeOutcome CountStride(EngineWalker& w, int stride) {
+  if (++w.state.aux == static_cast<uint32_t>(stride)) {
+    w.state.aux = 0;
+    w.Emit(w.state.node);
+    if (w.full()) return ResumeOutcome::kDone;
   }
-  total_steps_ += static_cast<uint64_t>(options_.steps);
-  return current_;
+  return ResumeOutcome::kContinue;
 }
 
-double FixedWalkSampler::TargetWeight(NodeId u) {
-  return design_->StationaryWeight(*access_, u);
-}
+// --- burnin ------------------------------------------------------------------
 
-// --------------------------------------------------- OneLongRunSampler -----
+// "Many short runs": phase 0 starts a fresh monitored walk from home, phase
+// 1 walks until the Geweke verdict (or the cap) and emits the landing node.
+class BurnInProgram final : public SessionProgram {
+ public:
+  BurnInProgram(BurnInOptions options, const TransitionDesign* design,
+                ProgramContext context)
+      : SessionProgram(design, std::move(context),
+                       DesignSuffixName(design, "+Geweke")),
+        options_(options) {}
 
-OneLongRunSampler::OneLongRunSampler(AccessInterface* access,
-                                     const TransitionDesign* design,
-                                     NodeId start, Options options,
-                                     uint64_t seed)
-    : access_(access),
-      design_(design),
-      start_(start),
-      options_(options),
-      rng_(seed),
-      name_(std::string(design->name()) + "+LongRun"),
-      current_(start) {
-  WNW_CHECK(access_ != nullptr && design_ != nullptr);
-  WNW_CHECK(options_.thinning >= 1);
-}
-
-Result<NodeId> OneLongRunSampler::Draw() {
-  if (!burned_in_) {
-    GewekeMonitor monitor(options_.burn_in.geweke);
-    NodeId cur = start_;
-    monitor.Add(static_cast<double>(access_->EffectiveDegree(cur)));
-    int steps = 0;
-    while (steps < options_.burn_in.max_steps) {
-      cur = design_->Step(*access_, cur, rng_);
-      monitor.Add(static_cast<double>(access_->EffectiveDegree(cur)));
-      ++steps;
-      if (steps >= options_.burn_in.min_steps &&
-          steps % options_.burn_in.check_interval == 0 &&
-          monitor.Converged()) {
-        break;
-      }
+  Result<ResumeOutcome> Resume(EngineWalker& w,
+                               FlatScan*) const override {
+    if (w.state.phase == 0) {
+      BurnInStart(w, options_);
+      w.state.phase = 1;
+      return ResumeOutcome::kContinue;
     }
-    current_ = cur;
-    burned_in_ = true;
-    return current_;  // the first post-burn-in node
+    if (BurnInStep(w, *design_, options_, name_)) {
+      w.Emit(w.state.node);
+      w.state.phase = 0;
+      if (w.full()) return ResumeOutcome::kDone;
+    }
+    return ResumeOutcome::kContinue;
   }
-  for (int i = 0; i < options_.thinning; ++i) {
-    current_ = design_->Step(*access_, current_, rng_);
+
+  void Report(const EngineWalker& w, SessionStats* stats) const override {
+    const WalkerSession& side = *w.side;
+    stats->last_burn_in = static_cast<int>(side.last_walk_steps);
+    stats->average_burn_in =
+        side.walks == 0 ? 0.0
+                        : static_cast<double>(side.walk_steps) /
+                              static_cast<double>(side.walks);
+    stats->burned_in = w.state.emitted > 0;
   }
-  return current_;
+
+ private:
+  BurnInOptions options_;
+};
+
+// --- longrun -----------------------------------------------------------------
+
+// Burn in once (phase 0 -> 1), emit the first post-burn-in node, then emit
+// every `thinning`-th node (phase 2).
+class LongRunProgram final : public SessionProgram {
+ public:
+  LongRunProgram(LongRunOptions options, const TransitionDesign* design,
+                 ProgramContext context)
+      : SessionProgram(design, std::move(context),
+                       DesignSuffixName(design, "+LongRun")),
+        options_(options) {}
+
+  Result<ResumeOutcome> Resume(EngineWalker& w,
+                               FlatScan*) const override {
+    switch (w.state.phase) {
+      case 0:
+        BurnInStart(w, options_.burn_in);
+        w.state.phase = 1;
+        return ResumeOutcome::kContinue;
+      case 1:
+        if (BurnInStep(w, *design_, options_.burn_in, name_)) {
+          w.Emit(w.state.node);  // the first post-burn-in node is a sample
+          w.state.phase = 2;
+          w.state.aux = 0;
+          if (w.full()) return ResumeOutcome::kDone;
+        }
+        return ResumeOutcome::kContinue;
+      default:
+        w.state.node = design_->Step(*w.side->access, w.state.node, w.rng);
+        return CountStride(w, options_.thinning);
+    }
+  }
+
+  void Report(const EngineWalker& w, SessionStats* stats) const override {
+    stats->burned_in = w.state.emitted > 0;
+  }
+
+ private:
+  LongRunOptions options_;
+};
+
+// --- walk --------------------------------------------------------------------
+
+// `walk` at scale: POD state + WalkerMeter, with the concrete design's
+// templated Step running on the worker's scan channel.
+template <typename Design>
+class FlatWalkProgram final : public WalkerProgram {
+ public:
+  FlatWalkProgram(FixedWalkOptions options, const Design* design)
+      : options_(options),
+        design_(design),
+        name_(DesignSuffixName(design, "+FixedWalk")) {}
+
+  std::string_view name() const override { return name_; }
+  bool flat() const override { return true; }
+
+  Status Init(EngineWalker& w) const override {
+    w.state.node = w.state.home;
+    return Status::OK();
+  }
+
+  Result<ResumeOutcome> Resume(EngineWalker& w,
+                               FlatScan* scan) const override {
+    FlatSource source{*scan, w.meter};
+    w.state.node = design_->Step(source, w.state.node, w.rng);
+    return CountStride(w, options_.steps);
+  }
+
+ private:
+  FixedWalkOptions options_;
+  const Design* design_;
+  std::string name_;
+};
+
+template <typename Design>
+std::unique_ptr<WalkerProgram> FlatWalkFor(const FixedWalkOptions& options,
+                                           const TransitionDesign* design) {
+  const auto* concrete = dynamic_cast<const Design*>(design);
+  if (concrete == nullptr) return nullptr;
+  return std::make_unique<FlatWalkProgram<Design>>(options, concrete);
 }
 
-double OneLongRunSampler::TargetWeight(NodeId u) {
-  return design_->StationaryWeight(*access_, u);
+// `walk` in session mode (restrictions or a shared cache in play): the
+// walker owns a real access session.
+class SessionWalkProgram final : public SessionProgram {
+ public:
+  SessionWalkProgram(FixedWalkOptions options, const TransitionDesign* design,
+                     ProgramContext context)
+      : SessionProgram(design, std::move(context),
+                       DesignSuffixName(design, "+FixedWalk")),
+        options_(options) {}
+
+  Result<ResumeOutcome> Resume(EngineWalker& w,
+                               FlatScan*) const override {
+    w.state.node = design_->Step(*w.side->access, w.state.node, w.rng);
+    return CountStride(w, options_.steps);
+  }
+
+ private:
+  FixedWalkOptions options_;
+};
+
+}  // namespace
+
+Result<std::unique_ptr<WalkerProgram>> MakeBurnInProgram(
+    const BurnInOptions& options, const TransitionDesign* design,
+    const ProgramContext& context) {
+  WNW_RETURN_IF_ERROR(ValidateBurnIn("burnin", options));
+  return std::unique_ptr<WalkerProgram>(
+      std::make_unique<BurnInProgram>(options, design, context));
+}
+
+Result<std::unique_ptr<WalkerProgram>> MakeLongRunProgram(
+    const LongRunOptions& options, const TransitionDesign* design,
+    const ProgramContext& context) {
+  WNW_RETURN_IF_ERROR(ValidateBurnIn("longrun", options.burn_in));
+  if (options.thinning < 1) {
+    return Status::InvalidArgument("sampler 'longrun': thinning must be >= 1");
+  }
+  return std::unique_ptr<WalkerProgram>(
+      std::make_unique<LongRunProgram>(options, design, context));
+}
+
+Result<std::unique_ptr<WalkerProgram>> MakeFixedWalkProgram(
+    const FixedWalkOptions& options, const TransitionDesign* design,
+    const ProgramContext& context, bool allow_flat) {
+  if (options.steps < 1) {
+    return Status::InvalidArgument("sampler 'walk': steps must be >= 1");
+  }
+  if (allow_flat) {
+    for (auto* flat_for :
+         {&FlatWalkFor<SimpleRandomWalk>, &FlatWalkFor<LazyRandomWalk>,
+          &FlatWalkFor<MetropolisHastingsWalk>, &FlatWalkFor<MaxDegreeWalk>}) {
+      if (auto program = flat_for(options, design)) return program;
+    }
+  }
+  return std::unique_ptr<WalkerProgram>(
+      std::make_unique<SessionWalkProgram>(options, design, context));
 }
 
 }  // namespace wnw

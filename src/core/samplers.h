@@ -1,139 +1,67 @@
-// Node samplers: the common interface plus the paper's baselines.
+// The paper's baseline samplers plus the fixed-length walk chain, each
+// compiled to its step program (core/walker_program.h).
 //
-// "Many short runs" (paper §6.1, the variant the paper compares against):
-// each sample comes from a fresh walk from the start node that runs until a
-// convergence monitor declares burn-in. "One long run" burns in once and
-// then emits every node it visits — cheaper but correlated (its effective
-// sample size is measured in estimation/metrics.h).
+// "Many short runs" (`burnin`, paper §6.1, the variant the paper compares
+// against): each sample comes from a fresh walk from the start node that
+// runs until a convergence monitor declares burn-in. "One long run"
+// (`longrun`) burns in once and then emits every node it visits — cheaper
+// but correlated (its effective sample size is measured in
+// estimation/metrics.h). `walk` advances one persistent walk a fixed number
+// of steps per sample, with no monitor at all.
 #pragma once
 
 #include <memory>
-#include <string_view>
 
-#include "access/access_interface.h"
+#include "core/walker_program.h"
 #include "mcmc/convergence.h"
 #include "mcmc/transition.h"
-#include "mcmc/walker.h"
-#include "random/rng.h"
 #include "util/status.h"
 
 namespace wnw {
 
-/// Interface for "draw one node". Implementations keep per-session state
-/// (caches, monitors, histories) and bill all queries to the bound access
-/// session; callers read costs off AccessInterface.
-class Sampler {
- public:
-  virtual ~Sampler() = default;
-
-  virtual std::string_view name() const = 0;
-
-  /// Draws the next sample node.
-  virtual Result<NodeId> Draw() = 0;
-
-  /// The stationary/target weight w(u) of the distribution this sampler's
-  /// output follows (unnormalized); estimators importance-weight with it.
-  virtual double TargetWeight(NodeId u) = 0;
+/// `burnin`: random walk with a Geweke burn-in monitor, one sample per
+/// walk. The observable is the node degree (the paper's typical theta).
+struct BurnInOptions {
+  GewekeOptions geweke;
+  /// Steps between convergence checks.
+  int check_interval = 20;
+  /// Walk at least this many steps before checking.
+  int min_steps = 50;
+  /// Hard cap: give up waiting and take the current node (logged).
+  int max_steps = 50000;
 };
 
-/// Baseline: random walk with a Geweke burn-in monitor, one sample per walk.
-class BurnInSampler final : public Sampler {
- public:
-  struct Options {
-    GewekeOptions geweke;
-    /// Steps between convergence checks.
-    int check_interval = 20;
-    /// Walk at least this many steps before checking.
-    int min_steps = 50;
-    /// Hard cap: give up waiting and take the current node (logged).
-    int max_steps = 50000;
-  };
-
-  BurnInSampler(AccessInterface* access, const TransitionDesign* design,
-                NodeId start, Options options, uint64_t seed);
-
-  std::string_view name() const override { return name_; }
-  Result<NodeId> Draw() override;
-  double TargetWeight(NodeId u) override;
-
-  /// Burn-in length of the most recent draw.
-  int last_burn_in() const { return last_burn_in_; }
-  /// Average burn-in length across draws.
-  double average_burn_in() const;
-
- private:
-  AccessInterface* access_;
-  const TransitionDesign* design_;
-  NodeId start_;
-  Options options_;
-  Rng rng_;
-  std::string name_;
-  int last_burn_in_ = 0;
-  uint64_t draws_ = 0;
-  uint64_t total_burn_in_ = 0;
+/// `longrun`: burn in once, then every visited node (with optional
+/// thinning) is a sample.
+struct LongRunOptions {
+  BurnInOptions burn_in;
+  /// Keep every `thinning`-th node after burn-in (1 = keep all).
+  int thinning = 1;
 };
 
-/// Fixed-length walk chain: every draw advances the persistent walk by a
-/// fixed number of design steps and returns the landing node (no burn-in
-/// monitor). This is the cheapest registered sampler — a pure stream of walk
-/// steps — which makes it the natural substrate for million-walker scale
-/// runs on the block engine, where convergence bookkeeping per walker would
-/// dominate the walk itself.
-class FixedWalkSampler final : public Sampler {
- public:
-  struct Options {
-    /// Design steps taken per draw.
-    int steps = 8;
-  };
-
-  FixedWalkSampler(AccessInterface* access, const TransitionDesign* design,
-                   NodeId start, Options options, uint64_t seed);
-
-  std::string_view name() const override { return name_; }
-  Result<NodeId> Draw() override;
-  double TargetWeight(NodeId u) override;
-
-  NodeId current() const { return current_; }
-  uint64_t total_steps() const { return total_steps_; }
-
- private:
-  AccessInterface* access_;
-  const TransitionDesign* design_;
-  Options options_;
-  Rng rng_;
-  std::string name_;
-  NodeId current_;
-  uint64_t total_steps_ = 0;
+/// `walk`: every sample advances the persistent walk by a fixed number of
+/// design steps and takes the landing node. This is the cheapest registered
+/// sampler — a pure stream of walk steps — which makes it the natural
+/// substrate for million-walker runs on the block engine, where convergence
+/// bookkeeping per walker would dominate the walk itself.
+struct FixedWalkOptions {
+  /// Design steps taken per sample.
+  int steps = 8;
 };
 
-/// Baseline: one long run — burn in once, then every visited node (with
-/// optional thinning) is a sample.
-class OneLongRunSampler final : public Sampler {
- public:
-  struct Options {
-    BurnInSampler::Options burn_in;
-    /// Keep every `thinning`-th node after burn-in (1 = keep all).
-    int thinning = 1;
-  };
+// Program compilers. Out-of-range options come back as InvalidArgument.
 
-  OneLongRunSampler(AccessInterface* access, const TransitionDesign* design,
-                    NodeId start, Options options, uint64_t seed);
-
-  std::string_view name() const override { return name_; }
-  Result<NodeId> Draw() override;
-  double TargetWeight(NodeId u) override;
-
-  bool burned_in() const { return burned_in_; }
-
- private:
-  AccessInterface* access_;
-  const TransitionDesign* design_;
-  NodeId start_;
-  Options options_;
-  Rng rng_;
-  std::string name_;
-  bool burned_in_ = false;
-  NodeId current_;
-};
+Result<std::unique_ptr<WalkerProgram>> MakeBurnInProgram(
+    const BurnInOptions& options, const TransitionDesign* design,
+    const ProgramContext& context);
+Result<std::unique_ptr<WalkerProgram>> MakeLongRunProgram(
+    const LongRunOptions& options, const TransitionDesign* design,
+    const ProgramContext& context);
+/// `allow_flat` admits the flat form (the caller asserts the backend is
+/// deterministic, unrestricted and cache-free, which is what makes
+/// per-walker logical billing replicable without an AccessInterface).
+Result<std::unique_ptr<WalkerProgram>> MakeFixedWalkProgram(
+    const FixedWalkOptions& options, const TransitionDesign* design,
+    const ProgramContext& context, bool allow_flat);
 
 }  // namespace wnw

@@ -4,9 +4,6 @@
 #include <cstdint>
 
 #include "access/snapshot_backend.h"
-#include "core/path_sampler.h"
-#include "core/samplers.h"
-#include "core/walk_estimate.h"
 #include "random/rng.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -56,7 +53,7 @@ struct ReservedSelections {
 // selection (?backend=latency&mean_ms=50&jitter_ms=10&fail_rate=0.1&
 // retry_ms=200&retries=64&net_seed=7&sleep_scale=1), origin sharding
 // (?shards=8&partition=hash|range|degree), and fetch-executor sizing
-// (?window=8&threads=4) — so the sampler factory never sees them.
+// (?window=8&threads=4) — so the sampler compiler never sees them.
 // Overrides options->latency / options->async when present. The key list
 // must stay in sync with ReservedSessionKeys() in core/registry.cc.
 Result<ReservedSelections> ExtractReservedParams(SamplerConfig* config,
@@ -516,7 +513,7 @@ Result<std::unique_ptr<SamplingSession>> SamplingSession::Open(
   if (graph == nullptr || graph->num_nodes() == 0) {
     return Status::InvalidArgument("sampling session needs a non-empty graph");
   }
-  // The sampler factory validates every remaining parameter, so the
+  // The sampler compiler validates every remaining parameter, so the
   // session-reserved keys are peeled off a copy first; the original config
   // (reserved params included) stays on the session for spec round-trips.
   SamplerConfig sampler_config = config;
@@ -544,26 +541,30 @@ Result<std::unique_ptr<SamplingSession>> SamplingSession::Open(
     start = static_cast<NodeId>(rng.NextBounded(graph->num_nodes()));
   }
 
+  // The session's walker runs in session mode: it owns an AccessInterface
+  // over the resolved stack, whose meter is the session's cost telemetry.
   // Note: under kRandomSubset (non-deterministic responses) a provided
   // query_cache is simply never consulted — AccessInterface bypasses
   // caching entirely rather than erroring, so one harness config can span
   // restriction scenarios.
-  std::shared_ptr<CompletionExecutor> executor = options.executor;
-  auto access = std::make_unique<AccessInterface>(
-      options.backend, options.query_cache, executor);
-  WNW_ASSIGN_OR_RETURN(
-      std::unique_ptr<Sampler> sampler,
-      SamplerRegistry::Global().Create(sampler_config, access.get(),
-                                       design.get(), start, sampler_seed));
-  return std::unique_ptr<SamplingSession>(
-      new SamplingSession(config, start, std::move(executor),
-                          std::move(access), std::move(design),
-                          std::move(sampler)));
+  const ProgramContext context{options.backend, options.query_cache,
+                               options.executor};
+  WNW_ASSIGN_OR_RETURN(std::unique_ptr<WalkerProgram> program,
+                       SamplerRegistry::Global().Compile(
+                           sampler_config, design.get(), context,
+                           /*allow_flat=*/false));
+  EngineWalker walker;
+  walker.state.home = start;
+  walker.rng = Rng(sampler_seed);
+  WNW_RETURN_IF_ERROR(program->Init(walker));
+  return std::unique_ptr<SamplingSession>(new SamplingSession(
+      config, start, options.executor, std::move(design), std::move(program),
+      std::move(walker)));
 }
 
 Status SamplingSession::PersistCache() {
-  access_->Wait();  // pending prefetches may still add entries
-  const std::shared_ptr<QueryCache>& cache = access_->query_cache();
+  access().Wait();  // pending prefetches may still add entries
+  const std::shared_ptr<QueryCache>& cache = access().query_cache();
   if (cache == nullptr) return Status::OK();
   return cache->Persist();
 }
@@ -582,9 +583,14 @@ SamplingSession::~SamplingSession() {
 }
 
 Result<NodeId> SamplingSession::Draw() {
-  auto drawn = sampler_->Draw();
-  if (drawn.ok()) ++samples_drawn_;
-  return drawn;
+  walker_.out = &sample_;
+  walker_.target = walker_.state.emitted + 1;
+  ResumeOutcome outcome;
+  do {
+    WNW_ASSIGN_OR_RETURN(outcome, program_->Resume(walker_, nullptr));
+  } while (outcome != ResumeOutcome::kDone);
+  ++samples_drawn_;
+  return sample_;
 }
 
 Status SamplingSession::DrawInto(std::vector<NodeId>* out, size_t count) {
@@ -599,9 +605,10 @@ Status SamplingSession::DrawInto(std::vector<NodeId>* out, size_t count) {
 SessionStats SamplingSession::Stats() const {
   SessionStats stats;
   stats.spec = config_.ToSpec();
-  stats.sampler = std::string(sampler_->name());
-  stats.backend = std::string(access_->backend().name());
-  const CostMeter& meter = access_->meter();
+  stats.sampler = std::string(program_->name());
+  const AccessInterface& access = this->access();
+  stats.backend = std::string(access.backend().name());
+  const CostMeter& meter = access.meter();
   stats.query_cost = meter.unique_cost;
   stats.total_queries = meter.total_queries;
   stats.backend_fetches = meter.backend_fetches;
@@ -611,10 +618,10 @@ SessionStats SamplingSession::Stats() const {
   stats.elapsed_seconds = timer_.ElapsedSeconds();
   stats.async_window = executor_ != nullptr ? executor_->window() : 0;
   stats.samples_drawn = samples_drawn_;
-  if (const ShardedBackend* sharded = access_->backend().AsSharded()) {
+  if (const ShardedBackend* sharded = access.backend().AsSharded()) {
     stats.backend_shards = sharded->num_shards();
   }
-  if (const RemoteBackend* remote = access_->backend().AsRemote()) {
+  if (const RemoteBackend* remote = access.backend().AsRemote()) {
     stats.remote_addr = remote->address();
     stats.remote_rpcs = remote->rpcs();
     stats.remote_retries = remote->retries();
@@ -623,7 +630,7 @@ SessionStats SamplingSession::Stats() const {
     // in-process sharded stack does.
     stats.backend_shards = std::max(1, remote->origin_shards());
   }
-  if (const std::shared_ptr<QueryCache>& cache = access_->query_cache()) {
+  if (const std::shared_ptr<QueryCache>& cache = access.query_cache()) {
     stats.cache_attached = true;
     stats.cache_hits = cache->hits();
     stats.cache_misses = cache->misses();
@@ -640,30 +647,7 @@ SessionStats SamplingSession::Stats() const {
   stats.shard_stall_seconds.resize(static_cast<size_t>(stats.backend_shards),
                                    0.0);
 
-  // Sampler-family telemetry. The built-ins are matched by type; samplers
-  // registered externally contribute the generic fields above.
-  if (const auto* burnin = dynamic_cast<const BurnInSampler*>(sampler_.get())) {
-    stats.last_burn_in = burnin->last_burn_in();
-    stats.average_burn_in = burnin->average_burn_in();
-    stats.burned_in = stats.samples_drawn > 0;
-  } else if (const auto* longrun =
-                 dynamic_cast<const OneLongRunSampler*>(sampler_.get())) {
-    stats.burned_in = longrun->burned_in();
-  } else if (const auto* we =
-                 dynamic_cast<const WalkEstimateSampler*>(sampler_.get())) {
-    stats.candidates_tried = we->candidates_tried();
-    stats.samples_accepted = we->samples_accepted();
-    stats.acceptance_rate = we->acceptance_rate();
-    stats.forward_steps = we->forward_steps();
-    stats.backward_walks = we->estimator().total_backward_walks();
-    stats.walks_run = we->candidates_tried();  // one candidate per walk
-    stats.samples_per_walk = we->acceptance_rate();
-  } else if (const auto* path =
-                 dynamic_cast<const WalkEstimatePathSampler*>(sampler_.get())) {
-    stats.walks_run = path->walks_run();
-    stats.samples_accepted = path->samples_accepted();
-    stats.samples_per_walk = path->samples_per_walk();
-  }
+  program_->Report(walker_, &stats);
   return stats;
 }
 

@@ -1,9 +1,9 @@
 // SamplingSession: the one-stop facade over a sampling run. Owns the
-// access view (CostMeter + caches over a pluggable AccessBackend), the
-// transition design, and the registry-built sampler, and folds their
-// scattered telemetry into one SessionStats — callers no longer reach into
-// three objects for metrics or hand-wire constructors. Open a session from a
-// spec string:
+// transition design, the registry-compiled step program of the sampler
+// (core/walker_program.h), and the one walker that program drives — whose
+// access view (CostMeter + caches over a pluggable AccessBackend) the
+// session exposes — and folds their telemetry into one SessionStats. Open a
+// session from a spec string:
 //
 //   auto session = SamplingSession::Open(&graph, "we:mhrw?diameter=8");
 //   if (!session.ok()) { ... }
@@ -11,7 +11,7 @@
 //   SessionStats stats = (*session)->Stats();
 //
 // Backend and fetch-executor selection ride in the same spec string via
-// reserved parameters (consumed before the sampler factory sees the config;
+// reserved parameters (consumed before the sampler compiler sees the config;
 // the full list is ReservedSessionKeys() / docs/SPEC_STRINGS.md):
 //
 //   "we:mhrw?diameter=8&backend=latency&mean_ms=50&window=8&threads=4"
@@ -35,6 +35,7 @@
 #include "access/remote_backend.h"
 #include "access/sharded_backend.h"
 #include "core/registry.h"
+#include "core/walker_program.h"
 #include "mcmc/transition.h"
 #include "util/timer.h"
 
@@ -124,7 +125,7 @@ struct SessionOptions {
 /// sampler-family fields are zero when they do not apply.
 struct SessionStats {
   std::string spec;     // canonical spec of the running config
-  std::string sampler;  // Sampler::name() of the bound instance
+  std::string sampler;  // display name of the sampler, e.g. "WE(MHRW)"
   std::string backend;  // backend stack, e.g. "ratelimit(latency(memory))"
 
   // Access accounting (the paper's cost metrics).
@@ -219,7 +220,8 @@ class SamplingSession {
 
   ~SamplingSession();
 
-  /// Draws the next sample node.
+  /// Draws the next sample node: drives the session's walker through its
+  /// step program until the program emits.
   Result<NodeId> Draw();
 
   /// Appends up to `count` samples to *out; stops at the first draw error
@@ -232,17 +234,19 @@ class SamplingSession {
   /// Which aggregate correction applies to this session's samples.
   TargetBias bias() const { return BiasForWalkSpec(config_.walk); }
 
-  /// The stationary/target weight w(u) the sampler corrects to.
-  double TargetWeight(NodeId u) { return sampler_->TargetWeight(u); }
+  /// The stationary/target weight w(u) of the walk design — the
+  /// distribution every built-in sampler's output follows.
+  double TargetWeight(NodeId u) {
+    return design_->StationaryWeight(access(), u);
+  }
 
   const SamplerConfig& config() const { return config_; }
   NodeId start() const { return start_; }
 
   // Escape hatches for code that needs the underlying pieces (restricted
   // neighbor views, design probabilities); prefer Stats() for metrics.
-  AccessInterface& access() { return *access_; }
-  const AccessInterface& access() const { return *access_; }
-  Sampler& sampler() { return *sampler_; }
+  AccessInterface& access() { return *walker_.side->access; }
+  const AccessInterface& access() const { return *walker_.side->access; }
   const TransitionDesign& design() const { return *design_; }
   const std::shared_ptr<CompletionExecutor>& executor() const {
     return executor_;
@@ -251,22 +255,22 @@ class SamplingSession {
  private:
   SamplingSession(SamplerConfig config, NodeId start,
                   std::shared_ptr<CompletionExecutor> executor,
-                  std::unique_ptr<AccessInterface> access,
                   std::unique_ptr<TransitionDesign> design,
-                  std::unique_ptr<Sampler> sampler)
+                  std::unique_ptr<WalkerProgram> program, EngineWalker walker)
       : config_(std::move(config)),
         start_(start),
         executor_(std::move(executor)),
-        access_(std::move(access)),
         design_(std::move(design)),
-        sampler_(std::move(sampler)) {}
+        program_(std::move(program)),
+        walker_(std::move(walker)) {}
 
   SamplerConfig config_;  // includes any backend=... spec parameters
   NodeId start_;
   std::shared_ptr<CompletionExecutor> executor_;  // may be shared or null
-  std::unique_ptr<AccessInterface> access_;
   std::unique_ptr<TransitionDesign> design_;
-  std::unique_ptr<Sampler> sampler_;
+  std::unique_ptr<WalkerProgram> program_;
+  EngineWalker walker_;  // session mode: owns the access view; dies first
+  NodeId sample_ = kInvalidNode;  // the walker's emit slot
   uint64_t samples_drawn_ = 0;
   Timer timer_;  // wall clock since Open()
 };

@@ -15,11 +15,10 @@
 #pragma once
 
 #include <memory>
-#include <string>
-#include <vector>
+#include <string_view>
 
 #include "core/estimate.h"
-#include "core/samplers.h"
+#include "core/walker_program.h"
 #include "mcmc/rejection.h"
 
 namespace wnw {
@@ -38,7 +37,7 @@ struct WalkEstimateOptions {
   /// Acceptance-rejection scale bootstrap (paper: 10th percentile).
   RejectionOptions rejection;
 
-  /// Guard: maximum candidate walks per Draw() before giving up.
+  /// Guard: maximum candidate walks per sample before giving up.
   int max_candidates_per_draw = 100000;
 
   int EffectiveWalkLength() const {
@@ -58,46 +57,12 @@ enum class WalkEstimateVariant {
 void ApplyVariant(WalkEstimateVariant variant, WalkEstimateOptions* options);
 std::string_view VariantName(WalkEstimateVariant variant);
 
-/// The WALK-ESTIMATE sampler. All draws share one start node, one crawl
-/// ball, one WS-BW history, and one rejection-scale bootstrap — the
-/// amortization the paper relies on.
-class WalkEstimateSampler final : public Sampler {
- public:
-  WalkEstimateSampler(AccessInterface* access, const TransitionDesign* design,
-                      NodeId start, WalkEstimateOptions options,
-                      uint64_t seed);
-
-  std::string_view name() const override { return name_; }
-  Result<NodeId> Draw() override;
-  double TargetWeight(NodeId u) override;
-
-  // --- telemetry -----------------------------------------------------------
-  uint64_t candidates_tried() const { return candidates_; }
-  uint64_t samples_accepted() const { return accepted_; }
-  double acceptance_rate() const {
-    return candidates_ == 0 ? 0.0
-                            : static_cast<double>(accepted_) /
-                                  static_cast<double>(candidates_);
-  }
-  uint64_t forward_steps() const { return forward_steps_; }
-  const ProbabilityEstimator& estimator() const { return estimator_; }
-  const RejectionSampler& rejection() const { return rejection_; }
-  int walk_length() const { return options_.EffectiveWalkLength(); }
-
- private:
-  AccessInterface* access_;
-  const TransitionDesign* design_;
-  NodeId start_;
-  WalkEstimateOptions options_;
-  Rng rng_;
-  std::string name_;
-  ProbabilityEstimator estimator_;
-  RejectionSampler rejection_;
-  bool prepared_ = false;
-  std::vector<NodeId> path_buf_;
-  uint64_t candidates_ = 0;
-  uint64_t accepted_ = 0;
-  uint64_t forward_steps_ = 0;
-};
+/// Compiles WALK-ESTIMATE to its step program. All draws of one walker
+/// share one start node, one crawl ball, one WS-BW history, and one
+/// rejection-scale bootstrap — the amortization the paper relies on.
+/// Out-of-range options come back as InvalidArgument.
+Result<std::unique_ptr<WalkerProgram>> MakeWalkEstimateProgram(
+    const WalkEstimateOptions& options, const TransitionDesign* design,
+    const ProgramContext& context);
 
 }  // namespace wnw

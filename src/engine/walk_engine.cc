@@ -548,9 +548,9 @@ Result<EngineResult> RunWalkEngine(const Graph* graph,
       shared.query_cache == nullptr;
   ProgramContext context{shared.backend, shared.query_cache,
                          shared.executor};
-  WNW_ASSIGN_OR_RETURN(
-      std::unique_ptr<WalkerProgram> program,
-      CompileWalkerProgram(stripped, design.get(), context, allow_flat));
+  WNW_ASSIGN_OR_RETURN(std::unique_ptr<WalkerProgram> program,
+                       SamplerRegistry::Global().Compile(
+                           stripped, design.get(), context, allow_flat));
 
   const uint64_t total_samples = options.walkers * options.samples_per_walker;
   if (total_samples > (uint64_t{1} << 31)) {

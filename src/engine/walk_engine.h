@@ -9,8 +9,9 @@
 // from wherever it happens to stand, walkers are bucketed by the BLOCK of
 // their frontier node and every walker pending on the scheduled block is
 // stepped while that block's adjacency pages are hot. Per-walker state is a
-// small resumable record (engine/walker_program.h), so walker count is a
-// memory knob, not a thread count.
+// small resumable record driven by the sampler's step program — the same
+// program SamplingSession::Draw drives (core/walker_program.h) — so walker
+// count is a memory knob, not a thread count.
 //
 // The defining invariant, enforced by tests/engine_test.cc and the
 // bench/ablation_block_engine CI gate:
@@ -43,8 +44,8 @@
 #include <vector>
 
 #include "core/session.h"
+#include "core/walker_program.h"
 #include "engine/block_scheduler.h"
-#include "engine/walker_program.h"
 
 namespace wnw {
 

@@ -33,7 +33,7 @@ Result<SamplerSpec> MakeSamplerSpec(const std::string& spec_string) {
 }
 
 SamplerSpec MakeBurnInSpec(const std::string& design_spec,
-                           BurnInSampler::Options options) {
+                           BurnInOptions options) {
   std::unique_ptr<TransitionDesign> design = MakeTransitionDesign(design_spec);
   WNW_CHECK(design != nullptr);
   SamplerSpec spec;

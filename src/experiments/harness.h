@@ -39,7 +39,7 @@ Result<SamplerSpec> MakeSamplerSpec(const std::string& spec_string);
 /// Ready-made specs for the paper's contenders — thin wrappers over the
 /// registry config builders, with the paper's figure labels.
 SamplerSpec MakeBurnInSpec(const std::string& design_spec,
-                           BurnInSampler::Options options = {});
+                           BurnInOptions options = {});
 SamplerSpec MakeWalkEstimateSpec(const std::string& design_spec,
                                  WalkEstimateOptions options,
                                  WalkEstimateVariant variant =

@@ -17,12 +17,6 @@ bool Adjacent(std::span<const NodeId> sorted_neighbors, NodeId v) {
 
 // ---------------------------------------------------------------- SRW ------
 
-NodeId SimpleRandomWalk::Step(AccessInterface& access, NodeId u,
-                              Rng& rng) const {
-  const NodeId v = access.SampleNeighbor(u, rng);
-  return v == kInvalidNode ? u : v;
-}
-
 double SimpleRandomWalk::TransitionProb(AccessInterface& access, NodeId u,
                                         NodeId v) const {
   const auto nbrs = access.EffectiveNeighbors(u);
@@ -42,13 +36,6 @@ LazyRandomWalk::LazyRandomWalk(double alpha) : alpha_(alpha) {
   WNW_CHECK(alpha > 0.0 && alpha < 1.0);
 }
 
-NodeId LazyRandomWalk::Step(AccessInterface& access, NodeId u,
-                            Rng& rng) const {
-  if (rng.NextBool(alpha_)) return u;
-  const NodeId v = access.SampleNeighbor(u, rng);
-  return v == kInvalidNode ? u : v;
-}
-
 double LazyRandomWalk::TransitionProb(AccessInterface& access, NodeId u,
                                       NodeId v) const {
   const auto nbrs = access.EffectiveNeighbors(u);
@@ -65,18 +52,6 @@ double LazyRandomWalk::StationaryWeight(AccessInterface& access,
 }
 
 // --------------------------------------------------------------- MHRW ------
-
-NodeId MetropolisHastingsWalk::Step(AccessInterface& access, NodeId u,
-                                    Rng& rng) const {
-  const auto nbrs = access.EffectiveNeighbors(u);
-  if (nbrs.empty()) return u;
-  const NodeId v = nbrs[rng.NextBounded(nbrs.size())];
-  const double du = static_cast<double>(nbrs.size());
-  const double dv = static_cast<double>(access.EffectiveDegree(v));
-  if (dv <= 0.0) return u;
-  // Accept with min(1, d(u)/d(v)); otherwise self-loop.
-  return rng.NextDouble() < du / dv ? v : u;
-}
 
 double MetropolisHastingsWalk::TransitionProb(AccessInterface& access,
                                               NodeId u, NodeId v) const {
@@ -124,15 +99,6 @@ double MetropolisHastingsWalk::StationaryWeight(AccessInterface& access,
 MaxDegreeWalk::MaxDegreeWalk(uint32_t degree_bound)
     : degree_bound_(degree_bound) {
   WNW_CHECK(degree_bound >= 1);
-}
-
-NodeId MaxDegreeWalk::Step(AccessInterface& access, NodeId u, Rng& rng) const {
-  const auto nbrs = access.EffectiveNeighbors(u);
-  if (nbrs.empty()) return u;
-  // With probability d(u)/d_bound move to a uniform neighbor, else stay.
-  const uint64_t pick = rng.NextBounded(degree_bound_);
-  if (pick < nbrs.size()) return nbrs[pick];
-  return u;
 }
 
 double MaxDegreeWalk::TransitionProb(AccessInterface& access, NodeId u,

@@ -2,6 +2,12 @@
 // WALK-ESTIMATE is transparent to. A design can only observe the graph
 // through the AccessInterface, so every probability it reports is computable
 // by a third party (this is what makes the backward estimator legal).
+//
+// Each built-in design writes its Step once, as a template over the neighbor
+// source: anything with the AccessInterface calls SampleNeighbor,
+// EffectiveNeighbors and EffectiveDegree. The virtual Step instantiates it on
+// AccessInterface; the block engine's flat walkers instantiate it on their
+// FlatSource (core/walker_program.h), so both paths run the same code.
 #pragma once
 
 #include <memory>
@@ -60,7 +66,14 @@ class SimpleRandomWalk final : public TransitionDesign {
  public:
   std::string_view name() const override { return "SRW"; }
   bool has_self_loops() const override { return false; }
-  NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override;
+  template <typename Source>
+  NodeId Step(Source& source, NodeId u, Rng& rng) const {
+    const NodeId v = source.SampleNeighbor(u, rng);
+    return v == kInvalidNode ? u : v;
+  }
+  NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override {
+    return Step<AccessInterface>(access, u, rng);
+  }
   double TransitionProb(AccessInterface& access, NodeId u,
                         NodeId v) const override;
   double StationaryWeight(AccessInterface& access, NodeId u) const override;
@@ -74,7 +87,15 @@ class LazyRandomWalk final : public TransitionDesign {
   explicit LazyRandomWalk(double alpha = 0.5);
   std::string_view name() const override { return "LazySRW"; }
   bool has_self_loops() const override { return true; }
-  NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override;
+  template <typename Source>
+  NodeId Step(Source& source, NodeId u, Rng& rng) const {
+    if (rng.NextBool(alpha_)) return u;
+    const NodeId v = source.SampleNeighbor(u, rng);
+    return v == kInvalidNode ? u : v;
+  }
+  NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override {
+    return Step<AccessInterface>(access, u, rng);
+  }
   double TransitionProb(AccessInterface& access, NodeId u,
                         NodeId v) const override;
   double StationaryWeight(AccessInterface& access, NodeId u) const override;
@@ -91,7 +112,20 @@ class MetropolisHastingsWalk final : public TransitionDesign {
  public:
   std::string_view name() const override { return "MHRW"; }
   bool has_self_loops() const override { return true; }
-  NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override;
+  template <typename Source>
+  NodeId Step(Source& source, NodeId u, Rng& rng) const {
+    const auto nbrs = source.EffectiveNeighbors(u);
+    if (nbrs.empty()) return u;
+    const NodeId v = nbrs[rng.NextBounded(nbrs.size())];
+    const double du = static_cast<double>(nbrs.size());
+    const double dv = static_cast<double>(source.EffectiveDegree(v));
+    if (dv <= 0.0) return u;
+    // Accept with min(1, d(u)/d(v)); otherwise self-loop.
+    return rng.NextDouble() < du / dv ? v : u;
+  }
+  NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override {
+    return Step<AccessInterface>(access, u, rng);
+  }
   double TransitionProb(AccessInterface& access, NodeId u,
                         NodeId v) const override;
   /// Self-loop case: T(u,u) = 1 - E_{w ~ U(N(u))}[min(1, d(u)/d(w))], so a
@@ -110,7 +144,18 @@ class MaxDegreeWalk final : public TransitionDesign {
   explicit MaxDegreeWalk(uint32_t degree_bound);
   std::string_view name() const override { return "MaxDegreeWalk"; }
   bool has_self_loops() const override { return true; }
-  NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override;
+  template <typename Source>
+  NodeId Step(Source& source, NodeId u, Rng& rng) const {
+    const auto nbrs = source.EffectiveNeighbors(u);
+    if (nbrs.empty()) return u;
+    // With probability d(u)/d_bound move to a uniform neighbor, else stay.
+    const uint64_t pick = rng.NextBounded(degree_bound_);
+    if (pick < nbrs.size()) return nbrs[pick];
+    return u;
+  }
+  NodeId Step(AccessInterface& access, NodeId u, Rng& rng) const override {
+    return Step<AccessInterface>(access, u, rng);
+  }
   double TransitionProb(AccessInterface& access, NodeId u,
                         NodeId v) const override;
   double StationaryWeight(AccessInterface& access, NodeId u) const override;

@@ -102,7 +102,7 @@ TEST(HarnessTest, ErrorVsCostProducesMonotoneCost) {
 
 TEST(HarnessTest, ErrorShrinksWithSamplesForBaseline) {
   const SocialDataset ds = TinyDataset();
-  BurnInSampler::Options bopts;
+  BurnInOptions bopts;
   bopts.min_steps = 50;
   bopts.max_steps = 2000;
   const auto spec = MakeBurnInSpec("srw", bopts);

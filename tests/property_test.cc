@@ -8,7 +8,7 @@
 #include <tuple>
 
 #include "access/access_interface.h"
-#include "core/walk_estimate.h"
+#include "core/session.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "mcmc/distribution.h"
@@ -162,23 +162,23 @@ class WalkEstimateProperty : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(WalkEstimateProperty, TelemetryConsistentAcrossVariants) {
   const Graph g = testing::MakeTestBA(50, 3);
-  auto design = MakeTransitionDesign(GetParam());
   for (auto variant :
        {WalkEstimateVariant::kFull, WalkEstimateVariant::kNone,
         WalkEstimateVariant::kCrawlOnly, WalkEstimateVariant::kWeightedOnly}) {
-    AccessInterface access(&g);
     WalkEstimateOptions opts;
     opts.diameter_bound = 4;
-    ApplyVariant(variant, &opts);
-    WalkEstimateSampler sampler(&access, design.get(), 0, opts, 17);
-    for (int i = 0; i < 25; ++i) ASSERT_TRUE(sampler.Draw().ok());
-    EXPECT_EQ(sampler.samples_accepted(), 25u);
-    EXPECT_GE(sampler.candidates_tried(), sampler.samples_accepted());
-    EXPECT_EQ(sampler.forward_steps(),
-              sampler.candidates_tried() *
-                  static_cast<uint64_t>(sampler.walk_length()));
-    EXPECT_GT(access.query_cost(), 0u);
-    EXPECT_GE(access.total_queries(), access.query_cost());
+    auto sampler = testing::OpenSession(
+        g, MakeWalkEstimateConfig(GetParam(), opts, variant), 17);
+    ASSERT_NE(sampler, nullptr);
+    for (int i = 0; i < 25; ++i) ASSERT_TRUE(sampler->Draw().ok());
+    const SessionStats stats = sampler->Stats();
+    EXPECT_EQ(stats.samples_accepted, 25u);
+    EXPECT_GE(stats.candidates_tried, stats.samples_accepted);
+    EXPECT_EQ(stats.forward_steps,
+              stats.candidates_tried *
+                  static_cast<uint64_t>(opts.EffectiveWalkLength()));
+    EXPECT_GT(stats.query_cost, 0u);
+    EXPECT_GE(stats.total_queries, stats.query_cost);
   }
 }
 

@@ -56,13 +56,13 @@ TEST(SamplerConfigTest, RoundTripsThroughSpecString) {
 }
 
 TEST(SamplerConfigTest, BuilderConfigsRoundTrip) {
-  BurnInSampler::Options bopts;
+  BurnInOptions bopts;
   bopts.max_steps = 20000;
   bopts.geweke.threshold = 0.01;
   WalkEstimateOptions wopts;
   wopts.diameter_bound = 7;
   wopts.estimate.epsilon = 0.2;
-  WalkEstimatePathSampler::Options popts;
+  WalkEstimatePathOptions popts;
   popts.stride = 3;
   const SamplerConfig configs[] = {
       MakeBurnInConfig("srw", bopts),
@@ -118,9 +118,9 @@ TEST(SamplerRegistryTest, GlobalHasBuiltins) {
 TEST(SamplerRegistryTest, RejectsDuplicateRegistration) {
   auto& registry = SamplerRegistry::Global();
   const Status again = registry.Register(
-      "we", {"dup", [](const SamplerConfig&, AccessInterface*,
-                       const TransitionDesign*, NodeId,
-                       uint64_t) -> Result<std::unique_ptr<Sampler>> {
+      "we", {"dup", [](const SamplerConfig&, const TransitionDesign*,
+                       const ProgramContext&,
+                       bool) -> Result<std::unique_ptr<WalkerProgram>> {
                return Status::Internal("unreachable");
              }});
   EXPECT_EQ(again.code(), StatusCode::kFailedPrecondition);
@@ -139,7 +139,14 @@ TEST(SamplerRegistryTest, UnknownParameterIsInvalidArgument) {
   const Graph g = testing::MakeTestBA(50, 3);
   for (const char* spec :
        {"we:srw?bogus=1", "burnin:srw?thinning=2", "we:srw?diameter=abc",
-        "we:srw?variant=sideways", "longrun:srw?thinning=x"}) {
+        "we:srw?variant=sideways", "longrun:srw?thinning=x",
+        // Well-formed but out of range: rejected, never a crash.
+        "burnin:srw?max_steps=10", "longrun:srw?thinning=0",
+        "we:srw?max_candidates=0", "we-path:srw?diameter=3&walk_length=2",
+        "burnin:srw?geweke_first=0.8&geweke_last=0.5", "we:srw?scale=0",
+        "we:srw?percentile=2", "we:srw?base_reps=0", "we:srw?epsilon=0",
+        "walk:srw?steps=0", "we-path:srw?stride=0",
+        "we-path:srw?max_walks=0"}) {
     const auto session = SamplingSession::Open(&g, spec);
     ASSERT_FALSE(session.ok()) << spec;
     EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument) << spec;

@@ -2,8 +2,12 @@
 #pragma once
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "core/session.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -43,6 +47,23 @@ inline double Sum(const std::vector<double>& v) {
 /// Materializes an (arena-backed) neighbor span for gtest comparisons.
 inline std::vector<NodeId> ToVec(std::span<const NodeId> s) {
   return std::vector<NodeId>(s.begin(), s.end());
+}
+
+/// Opens a session of `config` on `g` walking from `start`. Returns null
+/// (and fails the calling test) when the session does not open.
+inline std::unique_ptr<SamplingSession> OpenSession(const Graph& g,
+                                                    const SamplerConfig& config,
+                                                    uint64_t seed,
+                                                    NodeId start = 0) {
+  SessionOptions options;
+  options.start = start;
+  options.seed = seed;
+  auto session = SamplingSession::Open(&g, config, options);
+  if (!session.ok()) {
+    ADD_FAILURE() << config.ToSpec() << ": " << session.status().ToString();
+    return nullptr;
+  }
+  return std::move(*session);
 }
 
 }  // namespace wnw::testing

@@ -5,7 +5,7 @@
 
 #include <memory>
 
-#include "core/walk_estimate.h"
+#include "core/session.h"
 #include "estimation/empirical.h"
 #include "estimation/metrics.h"
 #include "mcmc/distribution.h"
@@ -15,6 +15,8 @@
 namespace wnw {
 namespace {
 
+using testing::OpenSession;
+
 WalkEstimateOptions SmallGraphOptions() {
   WalkEstimateOptions opts;
   opts.diameter_bound = 4;  // small test graphs
@@ -23,16 +25,16 @@ WalkEstimateOptions SmallGraphOptions() {
   return opts;
 }
 
-std::vector<double> SampleDistribution(const Graph& g,
-                                       const TransitionDesign& design,
+std::vector<double> SampleDistribution(const Graph& g, const char* design,
                                        const WalkEstimateOptions& opts,
                                        int num_samples, uint64_t seed,
                                        NodeId start = 0) {
-  AccessInterface access(&g);
-  WalkEstimateSampler sampler(&access, &design, start, opts, seed);
+  auto sampler =
+      OpenSession(g, MakeWalkEstimateConfig(design, opts), seed, start);
   EmpiricalDistribution dist(g.num_nodes());
+  if (sampler == nullptr) return dist.Pmf();
   for (int i = 0; i < num_samples; ++i) {
-    const auto s = sampler.Draw();
+    const auto s = sampler->Draw();
     if (!s.ok()) break;
     dist.Add(s.value());
   }
@@ -44,7 +46,7 @@ TEST(WalkEstimateTest, MatchesSrwStationaryDistribution) {
   SimpleRandomWalk srw;
   const auto pi = StationaryDistribution(g, srw);
   const auto pmf =
-      SampleDistribution(g, srw, SmallGraphOptions(), 40000, 123);
+      SampleDistribution(g, "srw", SmallGraphOptions(), 40000, 123);
   EXPECT_LT(TotalVariationDistance(pmf, pi), 0.06);
 }
 
@@ -53,7 +55,7 @@ TEST(WalkEstimateTest, MatchesMhrwUniformDistribution) {
   MetropolisHastingsWalk mhrw;
   const auto pi = StationaryDistribution(g, mhrw);  // uniform
   const auto pmf =
-      SampleDistribution(g, mhrw, SmallGraphOptions(), 40000, 321);
+      SampleDistribution(g, "mhrw", SmallGraphOptions(), 40000, 321);
   EXPECT_LT(TotalVariationDistance(pmf, pi), 0.06);
 }
 
@@ -67,26 +69,25 @@ TEST(WalkEstimateTest, LessBiasedThanShortWalkAlone) {
   WalkEstimateOptions opts = SmallGraphOptions();
   const auto raw_pt =
       ExactStepDistribution(tm, 0, opts.EffectiveWalkLength());
-  const auto we_pmf = SampleDistribution(g, srw, opts, 40000, 55);
+  const auto we_pmf = SampleDistribution(g, "srw", opts, 40000, 55);
   EXPECT_LT(TotalVariationDistance(we_pmf, pi),
             TotalVariationDistance(raw_pt, pi));
 }
 
 TEST(WalkEstimateTest, AllVariantsProduceSamples) {
   const Graph g = testing::MakeTestBA(40, 3);
-  SimpleRandomWalk srw;
   for (auto variant :
        {WalkEstimateVariant::kFull, WalkEstimateVariant::kNone,
         WalkEstimateVariant::kCrawlOnly, WalkEstimateVariant::kWeightedOnly}) {
-    WalkEstimateOptions opts = SmallGraphOptions();
-    ApplyVariant(variant, &opts);
-    AccessInterface access(&g);
-    WalkEstimateSampler sampler(&access, &srw, 0, opts, 77);
+    auto sampler = OpenSession(
+        g, MakeWalkEstimateConfig("srw", SmallGraphOptions(), variant), 77);
+    ASSERT_NE(sampler, nullptr);
     for (int i = 0; i < 50; ++i) {
-      EXPECT_TRUE(sampler.Draw().ok()) << VariantName(variant);
+      EXPECT_TRUE(sampler->Draw().ok()) << VariantName(variant);
     }
-    EXPECT_EQ(sampler.samples_accepted(), 50u) << VariantName(variant);
-    EXPECT_GE(sampler.candidates_tried(), 50u);
+    const SessionStats stats = sampler->Stats();
+    EXPECT_EQ(stats.samples_accepted, 50u) << VariantName(variant);
+    EXPECT_GE(stats.candidates_tried, 50u);
   }
 }
 
@@ -107,41 +108,42 @@ TEST(WalkEstimateTest, WalkLengthDefaultsTo2DPlus1) {
 
 TEST(WalkEstimateTest, TelemetryTracksAcceptance) {
   const Graph g = testing::MakeTestBA(40, 3);
-  SimpleRandomWalk srw;
-  AccessInterface access(&g);
-  WalkEstimateSampler sampler(&access, &srw, 0, SmallGraphOptions(), 99);
-  for (int i = 0; i < 100; ++i) ASSERT_TRUE(sampler.Draw().ok());
-  EXPECT_GT(sampler.acceptance_rate(), 0.0);
-  EXPECT_LE(sampler.acceptance_rate(), 1.0);
-  EXPECT_EQ(sampler.forward_steps(),
-            sampler.candidates_tried() *
-                static_cast<uint64_t>(sampler.walk_length()));
-  EXPECT_GT(sampler.estimator().total_backward_walks(), 0u);
-  EXPECT_GT(access.query_cost(), 0u);
+  const WalkEstimateOptions opts = SmallGraphOptions();
+  auto sampler = OpenSession(g, MakeWalkEstimateConfig("srw", opts), 99);
+  ASSERT_NE(sampler, nullptr);
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(sampler->Draw().ok());
+  const SessionStats stats = sampler->Stats();
+  EXPECT_GT(stats.acceptance_rate, 0.0);
+  EXPECT_LE(stats.acceptance_rate, 1.0);
+  EXPECT_EQ(stats.forward_steps,
+            stats.candidates_tried *
+                static_cast<uint64_t>(opts.EffectiveWalkLength()));
+  EXPECT_GT(stats.backward_walks, 0u);
+  EXPECT_GT(stats.query_cost, 0u);
 }
 
 TEST(WalkEstimateTest, CostGrowsSublinearlyThanksToCaching) {
   // Later draws reuse cached neighborhoods: the marginal unique-node cost
   // of the second 50 samples is below that of the first 50.
   const Graph g = testing::MakeTestBA(200, 3);
-  SimpleRandomWalk srw;
-  AccessInterface access(&g);
-  WalkEstimateSampler sampler(&access, &srw, 0, SmallGraphOptions(), 101);
-  for (int i = 0; i < 50; ++i) ASSERT_TRUE(sampler.Draw().ok());
-  const uint64_t first_half = access.query_cost();
-  for (int i = 0; i < 50; ++i) ASSERT_TRUE(sampler.Draw().ok());
-  const uint64_t second_half = access.query_cost() - first_half;
+  auto sampler =
+      OpenSession(g, MakeWalkEstimateConfig("srw", SmallGraphOptions()), 101);
+  ASSERT_NE(sampler, nullptr);
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(sampler->Draw().ok());
+  const uint64_t first_half = sampler->Stats().query_cost;
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(sampler->Draw().ok());
+  const uint64_t second_half = sampler->Stats().query_cost - first_half;
   EXPECT_LT(second_half, first_half);
 }
 
 TEST(WalkEstimateTest, WorksFromEveryStartNode) {
   const Graph g = testing::MakeTestBA(25, 2);
-  MetropolisHastingsWalk mhrw;
   for (NodeId start = 0; start < g.num_nodes(); start += 6) {
-    AccessInterface access(&g);
-    WalkEstimateSampler sampler(&access, &mhrw, start, SmallGraphOptions(),
-                                start + 1);
-    EXPECT_TRUE(sampler.Draw().ok()) << "start=" << start;
+    auto sampler = OpenSession(
+        g, MakeWalkEstimateConfig("mhrw", SmallGraphOptions()), start + 1,
+        start);
+    ASSERT_NE(sampler, nullptr);
+    EXPECT_TRUE(sampler->Draw().ok()) << "start=" << start;
   }
 }
 
@@ -161,13 +163,14 @@ TEST(WalkEstimateTest, HonorsManualScaleRejection) {
   // Spend enough backward walks that estimates are reliably positive:
   // zero estimates bypass rejection (accept outright) by design.
   opts.estimate.base_reps = 24;
-  AccessInterface access(&g);
-  WalkEstimateSampler sampler(&access, &srw, 0, opts, 13);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(sampler.Draw().ok());
+  auto sampler = OpenSession(g, MakeWalkEstimateConfig("srw", opts), 13);
+  ASSERT_NE(sampler, nullptr);
+  for (int i = 0; i < 100; ++i) EXPECT_TRUE(sampler->Draw().ok());
   // The exact min-ratio scale is the most conservative choice: a meaningful
   // share of candidates must be rejected.
-  EXPECT_GT(sampler.candidates_tried(), sampler.samples_accepted());
-  EXPECT_LT(sampler.acceptance_rate(), 0.95);
+  const SessionStats stats = sampler->Stats();
+  EXPECT_GT(stats.candidates_tried, stats.samples_accepted);
+  EXPECT_LT(stats.acceptance_rate, 0.95);
 }
 
 }  // namespace
