@@ -317,8 +317,7 @@ void ReadBurnInParams(ParamReader& reader, BurnInOptions* options) {
   reader.Read("geweke_min", &options->geweke.min_samples);
 }
 
-void EncodeBurnInParams(const BurnInOptions& options,
-                        SamplerConfig* config) {
+void EncodeBurnInParams(const BurnInOptions& options, SamplerConfig* config) {
   const BurnInOptions defaults;
   if (options.check_interval != defaults.check_interval) {
     config->SetInt("check_interval", options.check_interval);
