@@ -129,6 +129,33 @@ RemoteBackendOptions ClientOptions() {
   return options;
 }
 
+/// The thread-pool dispatch baseline, kept here rather than in the
+/// executor: a pass-through decorator that hides the remote client's
+/// completion path. The executor then runs every fetch on a pool worker
+/// parked in the blocking call, and because the decorator reports
+/// may_block() it sizes that pool at the window — one thread per in-flight
+/// request, the dispatch completion replaced.
+class ThreadDispatchBackend final : public AccessBackend {
+ public:
+  explicit ThreadDispatchBackend(std::shared_ptr<RemoteBackend> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string_view name() const override { return inner_->name(); }
+  uint64_t num_nodes() const override { return inner_->num_nodes(); }
+  const AccessOptions& options() const override { return inner_->options(); }
+  const RemoteBackend* AsRemote() const override { return inner_.get(); }
+  bool may_block() const override { return true; }
+  Result<FetchReply> FetchNeighbors(NodeId u) override {
+    return inner_->FetchNeighbors(u);
+  }
+  Result<BatchReply> FetchBatch(std::span<const NodeId> nodes) override {
+    return inner_->FetchBatch(nodes);
+  }
+
+ private:
+  std::shared_ptr<RemoteBackend> inner_;
+};
+
 struct IdentityCase {
   const char* family;  // registry name, for coverage accounting
   const char* spec;
@@ -182,12 +209,27 @@ bool RunIdentityGate(const Graph& graph, const std::string& addr,
       remote_options.walkers = kWalkers;
       remote_options.samples_per_walker = kSamples;
       remote_options.session.seed = seed;
-      remote_options.session.remote = ClientOptions();
-      const std::string spec = StrFormat(
-          "%s%cbackend=remote&addr=%s&window=8&dispatch=%s", c.spec,
+      const char sep =
           std::string_view(c.spec).find('?') == std::string_view::npos ? '?'
-                                                                       : '&',
-          addr.c_str(), dispatch);
+                                                                       : '&';
+      std::string spec;
+      if (dispatch == std::string_view("completion")) {
+        remote_options.session.remote = ClientOptions();
+        spec = StrFormat("%s%cbackend=remote&addr=%s&window=8", c.spec, sep,
+                         addr.c_str());
+      } else {
+        auto connected = RemoteBackend::Connect(addr, ClientOptions());
+        if (!connected.ok()) {
+          std::fprintf(stderr, "GATE: connect failed for %s: %s\n", c.spec,
+                       connected.status().ToString().c_str());
+          ok = false;
+          continue;
+        }
+        remote_options.session.backend =
+            std::make_shared<ThreadDispatchBackend>(
+                std::move(connected).value());
+        spec = StrFormat("%s%cwindow=8", c.spec, sep);
+      }
       const auto remote = RunWalkEngine(&graph, spec, remote_options);
       ++runs;
       if (!remote.ok()) {
@@ -280,6 +322,8 @@ int Run() {
       return 1;
     }
     std::shared_ptr<RemoteBackend> remote = std::move(connected).value();
+    const std::shared_ptr<AccessBackend> thread_dispatch =
+        std::make_shared<ThreadDispatchBackend>(remote);
 
     const uint64_t kRequests =
         std::max<uint64_t>(512, static_cast<uint64_t>(4000.0 * env.scale));
@@ -297,9 +341,9 @@ int Run() {
         AsyncOptions options;
         options.window = window;
         options.threads = 0;
-        options.dispatch = dispatch == std::string_view("completion")
-                               ? AsyncOptions::Dispatch::kCompletion
-                               : AsyncOptions::Dispatch::kThreadPool;
+        const std::shared_ptr<AccessBackend> target =
+            dispatch == std::string_view("completion") ? remote
+                                                       : thread_dispatch;
         SweepPoint point;
         point.window = window;
         point.dispatch = dispatch;
@@ -307,7 +351,7 @@ int Run() {
         for (int trial = 0; trial < env.trials; ++trial) {
           CompletionExecutor executor(options);
           const double t0 = NowSeconds();
-          auto handle = executor.SubmitBatch(remote, nodes);
+          auto handle = executor.SubmitBatch(target, nodes);
           auto reply = handle.Wait();
           const double wall = NowSeconds() - t0;
           // Sample while the executor (and its persistent pool) is live:

@@ -45,7 +45,7 @@
 #include <vector>
 
 #include "access/backend.h"
-#include "graph/generators.h"
+#include "datasets/social_datasets.h"
 #include "net/event_loop.h"
 #include "net/server.h"
 #include "net/wire.h"
@@ -296,24 +296,12 @@ int main(int argc, char** argv) {
   uint64_t num_nodes = 0;
   Graph graph;
   if (args.addr.empty()) {
-    if (args.dataset.rfind("ba:", 0) != 0) {
+    const Result<DatasetSpec> spec = ParseDatasetSpec(args.dataset);
+    if (!spec.ok() || spec->kind != DatasetSpec::Kind::kBarabasiAlbert) {
       std::fprintf(stderr, "loadgen: --dataset must be ba:N,M\n");
       return 2;
     }
-    // A view into args.dataset, not a substr temporary: the returned
-    // views must outlive this statement.
-    const std::string_view ba_spec =
-        std::string_view(args.dataset).substr(3);
-    const auto parts = SplitString(ba_spec, ",");
-    uint64_t n = 0, m = 0;
-    if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
-        !ParseUint64(parts[1], &m)) {
-      std::fprintf(stderr, "loadgen: --dataset must be ba:N,M\n");
-      return 2;
-    }
-    Rng graph_rng(args.seed);
-    auto generated = MakeBarabasiAlbert(static_cast<NodeId>(n),
-                                        static_cast<uint32_t>(m), graph_rng);
+    auto generated = spec->Build(args.seed);
     if (!generated.ok()) {
       std::fprintf(stderr, "loadgen: %s\n",
                    generated.status().ToString().c_str());

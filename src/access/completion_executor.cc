@@ -77,9 +77,6 @@ CompletionExecutor::CompletionExecutor(AsyncOptions options)
   compute_cap_ = options_.threads > 0 ? options_.threads
                                       : std::clamp(cores, 1, 8);
   compute_cap_ = std::clamp(std::min(compute_cap_, options_.window), 1, 256);
-  if (options_.dispatch == AsyncOptions::Dispatch::kThreadPool) {
-    compute_cap_ = blocking_cap_;
-  }
 }
 
 CompletionExecutor::~CompletionExecutor() {
@@ -119,15 +116,11 @@ void CompletionExecutor::SubmitFetch(std::shared_ptr<AccessBackend> backend,
   WNW_CHECK(done != nullptr);
   Op op;
   op.done = std::move(done);
-  const bool native =
-      options_.dispatch == AsyncOptions::Dispatch::kCompletion &&
-      backend->completion_native();
-  if (native) {
+  if (backend->completion_native()) {
     op.backend = std::move(backend);
     op.node = node;
   } else {
-    op.blocking = options_.dispatch == AsyncOptions::Dispatch::kThreadPool ||
-                  backend->may_block();
+    op.blocking = backend->may_block();
     op.fn = [backend = std::move(backend), node] {
       return backend->FetchNeighbors(node);
     };

@@ -69,15 +69,6 @@ struct AsyncOptions {
   /// concurrency at `threads`). Completion-native operations never consume
   /// a pool thread either way.
   int threads = 0;
-
-  /// How fetches against completion-native backends are driven.
-  /// kCompletion (the default) lets them complete off the backend's event
-  /// loop; kThreadPool forces every operation onto the worker pool —
-  /// thread ≈ window, the pre-completion dispatch, kept as the ablation
-  /// baseline (bench/ablation_completion_dispatch.cc) and selectable via
-  /// the ?dispatch=threads spec key.
-  enum class Dispatch { kCompletion, kThreadPool };
-  Dispatch dispatch = Dispatch::kCompletion;
 };
 
 /// Window-bounded fetch executor. Submissions admit FIFO; at most `window`

@@ -9,9 +9,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <mutex>
 #include <unordered_map>
 
@@ -59,55 +60,14 @@ Result<std::pair<std::string, uint16_t>> ParseAddress(
 
 }  // namespace
 
-/// One call's rendezvous with the loop thread. Completion is one-shot:
-/// whoever completes first (reply, deadline timer, connection death,
-/// shutdown) wins; later completions are silently ignored. Synchronous
-/// calls park on the cv; asynchronous calls set `on_complete` instead and
-/// it fires on the completing thread, outside the lock.
+/// One attempt's entry in its connection's pending map. Completion is
+/// one-shot by ownership: whichever loop-thread path removes the entry
+/// (reply, deadline timer, connection death) fires `complete`; a reply that
+/// finds no entry is late and dropped.
 struct RemoteBackend::PendingCall {
-  using CompletionFn =
-      std::function<void(Status, uint16_t, std::vector<std::byte>)>;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Status status = Status::OK();
-  uint16_t opcode = 0;
-  std::vector<std::byte> payload;
-  uint64_t timer_id = 0;  // loop-thread only
-  CompletionFn on_complete;  // set before registration; never after
-
-  void Complete(Status status_in, uint16_t opcode_in,
-                std::vector<std::byte> payload_in) {
-    CompletionFn fire;
-    Status fire_status = Status::OK();
-    std::vector<std::byte> fire_payload;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (done) return;
-      done = true;
-      if (on_complete != nullptr) {
-        fire = std::move(on_complete);
-        fire_status = std::move(status_in);
-        fire_payload = std::move(payload_in);
-      } else {
-        status = std::move(status_in);
-        opcode = opcode_in;
-        payload = std::move(payload_in);
-      }
-    }
-    if (fire != nullptr) {
-      fire(std::move(fire_status), opcode_in, std::move(fire_payload));
-      return;
-    }
-    cv.notify_all();
-  }
-
-  Status Wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return done; });
-    return status;
-  }
+  uint64_t timer_id = 0;
+  std::function<void(Status, uint16_t opcode, std::vector<std::byte>)>
+      complete;
 };
 
 /// One pool connection. `mu` guards the shared fields: calling threads
@@ -121,7 +81,7 @@ struct RemoteBackend::Conn {
   int fd = -1;  // -1 = down
   std::vector<std::byte> in;
   std::vector<std::byte> out;  // staging: callers append encoded frames
-  std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> pending;
+  std::unordered_map<uint64_t, PendingCall> pending;
 
   // Loop-thread-only flush state. FlushConn moves `out` into `flushing`
   // with one swap under `mu`, then sends from `flushing` with no lock held:
@@ -130,6 +90,17 @@ struct RemoteBackend::Conn {
   std::vector<std::byte> flushing;
   size_t flush_pos = 0;
   bool want_write = false;  // EPOLLOUT interest currently registered
+};
+
+/// One RPC across its retry attempts. Immutable after creation except
+/// `attempt`, which only the thread currently driving the call touches
+/// (attempts never overlap: the next one is scheduled by the completion of
+/// the previous).
+struct RemoteBackend::Rpc {
+  uint16_t opcode = 0;
+  std::vector<std::byte> payload;
+  int attempt = 0;
+  RpcCallback done;
 };
 
 RemoteBackend::RemoteBackend(std::string addr, RemoteBackendOptions options)
@@ -168,36 +139,77 @@ RemoteBackend::~RemoteBackend() {
   if (loop_thread_.joinable()) {
     // Fail whatever is still in flight, then stop the loop. Sessions own
     // the backend via shared_ptr, so no *new* call can race destruction.
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    bool done = false;
-    loop_->Post([&] {
+    RunOnLoop([this] {
       for (auto& conn : conns_) {
         KillConn(conn.get(),
                  Status::Unavailable("remote backend destroyed"));
       }
-      {
-        // Under the lock: done_cv lives on the destructing thread's
-        // stack, which deallocates the moment its wait returns (see
-        // EnsureConnected for the full argument).
-        std::lock_guard<std::mutex> lock(done_mu);
-        done = true;
-        done_cv.notify_all();
-      }
     });
-    {
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&] { return done; });
-    }
     loop_->Stop();
     loop_thread_.join();
   }
 }
 
+void RemoteBackend::RunOnLoop(const std::function<void()>& fn) {
+  if (loop_->in_loop_thread()) {
+    fn();
+    return;
+  }
+  std::mutex done_mu;
+  std::condition_variable done_cv;
+  bool done = false;
+  loop_->Post([&] {
+    fn();
+    // Notify UNDER the lock: done_cv lives on the caller's stack, and the
+    // caller destroys it as soon as its wait returns. Holding done_mu
+    // through the notify means the waiter cannot leave wait() until this
+    // thread has released the mutex — i.e. until the broadcast has fully
+    // finished with the condition variable.
+    std::lock_guard<std::mutex> lock(done_mu);
+    done = true;
+    done_cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(done_mu);
+  done_cv.wait(lock, [&] { return done; });
+}
+
+Result<std::vector<std::byte>> RemoteBackend::Await(
+    uint16_t opcode, std::vector<std::byte> request_payload) {
+  // The reply is delivered by the loop thread, so waiting on it there
+  // would never return. Checked in every build: the compare is nothing
+  // next to a round trip, and the alternative is a silent hang.
+  WNW_CHECK(!loop_->in_loop_thread());
+  // The promise is shared with the callback: the setter may still be
+  // inside set_value when this thread wakes and returns.
+  auto reply =
+      std::make_shared<std::promise<Result<std::vector<std::byte>>>>();
+  auto future = reply->get_future();
+  CallAsync(opcode, std::move(request_payload),
+            [reply](Result<std::vector<std::byte>> response) {
+              reply->set_value(std::move(response));
+            });
+  return future.get();
+}
+
+namespace {
+
+Result<FetchReply> DecodeFetchReply(Result<std::vector<std::byte>> response) {
+  WNW_RETURN_IF_ERROR(response.status());
+  WNW_ASSIGN_OR_RETURN(net::NeighborsReply decoded,
+                       net::DecodeNeighborsReply(*response));
+  FetchReply reply;
+  reply.SetOwned(std::move(decoded.neighbors));
+  reply.simulated_seconds = decoded.simulated_seconds;
+  reply.serial_seconds = decoded.serial_seconds;
+  reply.shard = decoded.shard;
+  return reply;
+}
+
+}  // namespace
+
 Status RemoteBackend::Handshake() {
-  std::vector<std::byte> response;
-  WNW_RETURN_IF_ERROR(
-      Call(static_cast<uint16_t>(Opcode::kStats), {}, &response));
+  WNW_ASSIGN_OR_RETURN(const std::vector<std::byte> response,
+                       Await(static_cast<uint16_t>(Opcode::kStats), {}));
   WNW_ASSIGN_OR_RETURN(const net::StatsReply stats,
                        net::DecodeStatsReply(response));
   if (stats.num_nodes == 0) {
@@ -217,17 +229,18 @@ Status RemoteBackend::Handshake() {
 Result<FetchReply> RemoteBackend::FetchNeighbors(NodeId u) {
   std::vector<std::byte> payload;
   net::EncodeFetchRequest(u, &payload);
-  std::vector<std::byte> response;
-  WNW_RETURN_IF_ERROR(Call(static_cast<uint16_t>(Opcode::kFetchNeighbors),
-                           std::move(payload), &response));
-  WNW_ASSIGN_OR_RETURN(net::NeighborsReply decoded,
-                       net::DecodeNeighborsReply(response));
-  FetchReply reply;
-  reply.SetOwned(std::move(decoded.neighbors));
-  reply.simulated_seconds = decoded.simulated_seconds;
-  reply.serial_seconds = decoded.serial_seconds;
-  reply.shard = decoded.shard;
-  return reply;
+  return DecodeFetchReply(Await(
+      static_cast<uint16_t>(Opcode::kFetchNeighbors), std::move(payload)));
+}
+
+void RemoteBackend::FetchNeighborsCompletion(NodeId u,
+                                             CompletionCallback done) {
+  std::vector<std::byte> payload;
+  net::EncodeFetchRequest(u, &payload);
+  CallAsync(static_cast<uint16_t>(Opcode::kFetchNeighbors), std::move(payload),
+            [done = std::move(done)](Result<std::vector<std::byte>> response) {
+              done(DecodeFetchReply(std::move(response)));
+            });
 }
 
 Result<BatchReply> RemoteBackend::FetchBatch(std::span<const NodeId> nodes) {
@@ -240,9 +253,9 @@ Result<BatchReply> RemoteBackend::FetchBatch(std::span<const NodeId> nodes) {
   }
   std::vector<std::byte> payload;
   net::EncodeBatchRequest(nodes, &payload);
-  std::vector<std::byte> response;
-  WNW_RETURN_IF_ERROR(Call(static_cast<uint16_t>(Opcode::kFetchBatch),
-                           std::move(payload), &response));
+  WNW_ASSIGN_OR_RETURN(
+      const std::vector<std::byte> response,
+      Await(static_cast<uint16_t>(Opcode::kFetchBatch), std::move(payload)));
   WNW_ASSIGN_OR_RETURN(BatchReply reply, net::DecodeBatchReply(response));
   if (reply.lists.size() != nodes.size()) {
     return Status::InvalidArgument(
@@ -253,238 +266,122 @@ Result<BatchReply> RemoteBackend::FetchBatch(std::span<const NodeId> nodes) {
 }
 
 Result<RemoteBackend::ServerCounters> RemoteBackend::FetchServerCounters() {
-  std::vector<std::byte> response;
-  WNW_RETURN_IF_ERROR(
-      Call(static_cast<uint16_t>(Opcode::kStats), {}, &response));
+  WNW_ASSIGN_OR_RETURN(const std::vector<std::byte> response,
+                       Await(static_cast<uint16_t>(Opcode::kStats), {}));
   WNW_ASSIGN_OR_RETURN(const net::StatsReply stats,
                        net::DecodeStatsReply(response));
   return ServerCounters{stats.requests_served, stats.connections_accepted};
 }
 
-Status RemoteBackend::Call(uint16_t opcode,
-                           std::vector<std::byte> request_payload,
-                           std::vector<std::byte>* response) {
+void RemoteBackend::CallAsync(uint16_t opcode,
+                              std::vector<std::byte> request_payload,
+                              RpcCallback done) {
   rpcs_.fetch_add(1, std::memory_order_relaxed);
-  Status last = Status::OK();
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      const double backoff_ms = options_.retry_backoff_ms * attempt;
-      if (backoff_ms > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoff_ms));
-      }
-    }
-    Conn* conn =
-        conns_[next_conn_.fetch_add(1, std::memory_order_relaxed) %
-               conns_.size()]
-            .get();
-    last = CallOnce(conn, opcode, request_payload, response);
-    if (last.ok() || !TransientCode(last.code())) return last;
-  }
-  return last;
+  auto rpc = std::make_shared<Rpc>();
+  rpc->opcode = opcode;
+  rpc->payload = std::move(request_payload);
+  rpc->done = std::move(done);
+  StartAttempt(std::move(rpc));
 }
 
-Status RemoteBackend::CallOnce(Conn* conn, uint16_t opcode,
-                               const std::vector<std::byte>& request_payload,
-                               std::vector<std::byte>* response) {
+Result<RemoteBackend::Conn*> RemoteBackend::PickConn() {
+  const size_t start = next_conn_.fetch_add(1, std::memory_order_relaxed);
+  if (loop_->in_loop_thread()) {
+    // A connect here stalls the loop, and with it every live connection's
+    // replies: prefer a connection that is already up. Only when the whole
+    // pool is down — nothing in flight to stall — does the loop reconnect.
+    for (size_t i = 0; i < conns_.size(); ++i) {
+      Conn* candidate = conns_[(start + i) % conns_.size()].get();
+      std::lock_guard<std::mutex> lock(candidate->mu);
+      if (candidate->fd >= 0) return candidate;
+    }
+  }
+  Conn* conn = conns_[start % conns_.size()].get();
   WNW_RETURN_IF_ERROR(EnsureConnected(conn));
+  return conn;
+}
+
+void RemoteBackend::StartAttempt(std::shared_ptr<Rpc> rpc) {
+  Result<Conn*> picked = PickConn();
+  if (!picked.ok()) {
+    FinishOrRetry(std::move(rpc), picked.status(), 0, {});
+    return;
+  }
+  Conn* conn = *picked;
   const uint64_t id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  auto call = std::make_shared<PendingCall>();
+  bool registered = false;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->fd < 0) {
-      return Status::Unavailable("remote connection to '" + addr_ +
-                                 "' went down");
+    if (conn->fd >= 0) {
+      Frame frame;
+      frame.opcode = static_cast<Opcode>(rpc->opcode);
+      frame.request_id = id;
+      frame.payload = rpc->payload;
+      const size_t before = conn->out.size();
+      net::EncodeFrame(frame, &conn->out);
+      bytes_sent_.fetch_add(conn->out.size() - before,
+                            std::memory_order_relaxed);
+      conn->pending[id].complete = [this, rpc](Status status, uint16_t opcode,
+                                               std::vector<std::byte> reply) {
+        FinishOrRetry(rpc, std::move(status), opcode, std::move(reply));
+      };
+      registered = true;
     }
-    Frame frame;
-    frame.opcode = static_cast<Opcode>(opcode);
-    frame.request_id = id;
-    frame.payload = request_payload;
-    const size_t before = conn->out.size();
-    net::EncodeFrame(frame, &conn->out);
-    bytes_sent_.fetch_add(conn->out.size() - before,
-                          std::memory_order_relaxed);
-    conn->pending[id] = call;
+  }
+  if (!registered) {
+    FinishOrRetry(std::move(rpc),
+                  Status::Unavailable("remote connection to '" + addr_ +
+                                      "' went down"),
+                  0, {});
+    return;
   }
   const double deadline_seconds = options_.deadline_ms / 1e3;
   loop_->Post([this, conn, id, deadline_seconds] {
     // Arm the deadline before flushing: once bytes hit the wire a reply can
-    // race in, and the reply path cancels by timer_id. Posts are executed
-    // in order, so the reply cannot be processed before this runs.
+    // race in, and the reply path cancels by timer_id.
     {
       std::lock_guard<std::mutex> lock(conn->mu);
       const auto it = conn->pending.find(id);
-      if (it == conn->pending.end()) return;  // already failed/timed out
-      it->second->timer_id = loop_->AddTimer(
-          deadline_seconds, [this, conn, id] { TimeoutCall(conn, id); });
-    }
-    FlushConn(conn);
-  });
-  WNW_RETURN_IF_ERROR(call->Wait());
-  if (call->opcode != opcode) {
-    return Status::InvalidArgument(
-        "remote server answered request " + std::to_string(id) +
-        " with opcode " + std::to_string(call->opcode) + ", expected " +
-        std::to_string(opcode));
-  }
-  *response = std::move(call->payload);
-  return Status::OK();
-}
-
-/// One asynchronous RPC across its retry attempts. Immutable after
-/// creation except `attempt`, which only the thread currently driving the
-/// call touches (attempts never overlap: the next one is scheduled by the
-/// completion of the previous).
-struct RemoteBackend::AsyncCall {
-  uint16_t opcode = 0;
-  std::vector<std::byte> payload;
-  int attempt = 0;
-  std::function<void(Status, std::vector<std::byte>)> done;
-};
-
-void RemoteBackend::FetchNeighborsCompletion(NodeId u,
-                                             CompletionCallback done) {
-  std::vector<std::byte> payload;
-  net::EncodeFetchRequest(u, &payload);
-  CallAsync(
-      static_cast<uint16_t>(Opcode::kFetchNeighbors), std::move(payload),
-      [done = std::move(done)](Status status,
-                               std::vector<std::byte> response) {
-        if (!status.ok()) {
-          done(std::move(status));
-          return;
-        }
-        Result<net::NeighborsReply> decoded =
-            net::DecodeNeighborsReply(response);
-        if (!decoded.ok()) {
-          done(decoded.status());
-          return;
-        }
-        FetchReply reply;
-        reply.SetOwned(std::move(decoded->neighbors));
-        reply.simulated_seconds = decoded->simulated_seconds;
-        reply.serial_seconds = decoded->serial_seconds;
-        reply.shard = decoded->shard;
-        done(std::move(reply));
-      });
-}
-
-void RemoteBackend::CallAsync(
-    uint16_t opcode, std::vector<std::byte> request_payload,
-    std::function<void(Status, std::vector<std::byte>)> done) {
-  rpcs_.fetch_add(1, std::memory_order_relaxed);
-  auto call = std::make_shared<AsyncCall>();
-  call->opcode = opcode;
-  call->payload = std::move(request_payload);
-  call->done = std::move(done);
-  StartAsyncAttempt(std::move(call));
-}
-
-void RemoteBackend::StartAsyncAttempt(std::shared_ptr<AsyncCall> call) {
-  Conn* conn = nullptr;
-  if (loop_->in_loop_thread()) {
-    // Never EnsureConnected here: it blocks on connect and then waits on a
-    // post to this very loop. Retry attempts (loop-timer driven) use live
-    // connections only; submission paths reconnect.
-    const size_t start = next_conn_.fetch_add(1, std::memory_order_relaxed);
-    for (size_t i = 0; i < conns_.size() && conn == nullptr; ++i) {
-      Conn* candidate = conns_[(start + i) % conns_.size()].get();
-      std::lock_guard<std::mutex> lock(candidate->mu);
-      if (candidate->fd >= 0) conn = candidate;
-    }
-    if (conn == nullptr) {
-      FinishOrRetryAsync(std::move(call),
-                         Status::Unavailable("remote connection to '" +
-                                             addr_ + "' went down"),
-                         0, {});
-      return;
-    }
-  } else {
-    conn = conns_[next_conn_.fetch_add(1, std::memory_order_relaxed) %
-                  conns_.size()]
-               .get();
-    Status connected = EnsureConnected(conn);
-    if (!connected.ok()) {
-      FinishOrRetryAsync(std::move(call), std::move(connected), 0, {});
-      return;
-    }
-  }
-  const uint64_t id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  auto pending = std::make_shared<PendingCall>();
-  pending->on_complete = [this, call](Status status, uint16_t opcode,
-                                      std::vector<std::byte> payload) {
-    FinishOrRetryAsync(call, std::move(status), opcode, std::move(payload));
-  };
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->fd < 0) {
-      FinishOrRetryAsync(std::move(call),
-                         Status::Unavailable("remote connection to '" +
-                                             addr_ + "' went down"),
-                         0, {});
-      return;
-    }
-    Frame frame;
-    frame.opcode = static_cast<Opcode>(call->opcode);
-    frame.request_id = id;
-    frame.payload = call->payload;
-    const size_t before = conn->out.size();
-    net::EncodeFrame(frame, &conn->out);
-    bytes_sent_.fetch_add(conn->out.size() - before,
-                          std::memory_order_relaxed);
-    conn->pending[id] = std::move(pending);
-  }
-  const double deadline_seconds = options_.deadline_ms / 1e3;
-  loop_->Post([this, conn, id, deadline_seconds] {
-    // Same ordering contract as the synchronous path: the deadline is
-    // armed before the first byte can be flushed, so a racing reply always
-    // finds a timer to cancel.
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      const auto it = conn->pending.find(id);
-      if (it == conn->pending.end()) return;  // already failed/timed out
-      it->second->timer_id = loop_->AddTimer(
+      if (it == conn->pending.end()) return;  // already completed
+      it->second.timer_id = loop_->AddTimer(
           deadline_seconds, [this, conn, id] { TimeoutCall(conn, id); });
     }
     FlushConn(conn);
   });
 }
 
-void RemoteBackend::FinishOrRetryAsync(std::shared_ptr<AsyncCall> call,
-                                       Status status, uint16_t opcode,
-                                       std::vector<std::byte> payload) {
-  if (status.ok() && opcode != call->opcode) {
+void RemoteBackend::FinishOrRetry(std::shared_ptr<Rpc> rpc, Status status,
+                                  uint16_t opcode,
+                                  std::vector<std::byte> payload) {
+  if (status.ok() && opcode != rpc->opcode) {
     status = Status::InvalidArgument(
         "remote server answered with opcode " + std::to_string(opcode) +
-        ", expected " + std::to_string(call->opcode));
+        ", expected " + std::to_string(rpc->opcode));
   }
   if (status.ok()) {
-    call->done(Status::OK(), std::move(payload));
+    rpc->done(std::move(payload));
     return;
   }
   if (!TransientCode(status.code()) ||
-      call->attempt >= options_.max_retries ||
+      rpc->attempt >= options_.max_retries ||
       destroyed_.load(std::memory_order_acquire)) {
-    call->done(std::move(status), {});
+    rpc->done(std::move(status));
     return;
   }
-  ++call->attempt;
+  ++rpc->attempt;
   retries_.fetch_add(1, std::memory_order_relaxed);
   const double backoff_seconds =
-      options_.retry_backoff_ms * call->attempt / 1e3;
+      options_.retry_backoff_ms * rpc->attempt / 1e3;
   // The backoff parks on the timer wheel, not a thread. AddTimer is
   // loop-affine, so hop there first when needed.
-  auto rearm = [this, call = std::move(call), backoff_seconds]() mutable {
+  auto rearm = [this, rpc = std::move(rpc), backoff_seconds]() mutable {
     if (backoff_seconds > 0.0) {
-      loop_->AddTimer(backoff_seconds,
-                      [this, call = std::move(call)]() mutable {
-                        StartAsyncAttempt(std::move(call));
-                      });
+      loop_->AddTimer(backoff_seconds, [this, rpc = std::move(rpc)]() mutable {
+        StartAttempt(std::move(rpc));
+      });
     } else {
-      StartAsyncAttempt(std::move(call));
+      StartAttempt(std::move(rpc));
     }
   };
   if (loop_->in_loop_thread()) {
@@ -495,7 +392,16 @@ void RemoteBackend::FinishOrRetryAsync(std::shared_ptr<AsyncCall> call,
 }
 
 Status RemoteBackend::EnsureConnected(Conn* conn) {
-  std::lock_guard<std::mutex> connect_lock(conn->connect_mu);
+  std::unique_lock<std::mutex> connect_lock(conn->connect_mu,
+                                            std::defer_lock);
+  if (!loop_->in_loop_thread()) {
+    connect_lock.lock();
+  } else if (!connect_lock.try_lock()) {
+    // The holder is a caller thread waiting for this very loop to register
+    // its new socket; blocking here would deadlock both.
+    return Status::Unavailable("remote connection to '" + addr_ +
+                               "' is being re-established");
+  }
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->fd >= 0) return Status::OK();
@@ -543,12 +449,9 @@ Status RemoteBackend::EnsureConnected(Conn* conn) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   // Hand the socket to the loop. Registration must complete before any
-  // caller can enqueue a request on it, so this blocks on the post.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  bool done = false;
+  // caller can enqueue a request on it.
   Status registered = Status::OK();
-  loop_->Post([&, fd] {
+  RunOnLoop([&] {
     {
       std::lock_guard<std::mutex> lock(conn->mu);
       conn->fd = fd;
@@ -566,19 +469,7 @@ Status RemoteBackend::EnsureConnected(Conn* conn) {
       conn->fd = -1;
       ::close(fd);
     }
-    {
-      // Notify UNDER the lock: done_cv lives on the caller's stack, and
-      // the caller destroys it as soon as its wait returns. Holding
-      // done_mu through the notify means the waiter cannot leave wait()
-      // until this thread has released the mutex — i.e. until the
-      // broadcast has fully finished with the condition variable.
-      std::lock_guard<std::mutex> lock(done_mu);
-      done = true;
-      done_cv.notify_all();
-    }
   });
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return done; });
   return registered;
 }
 
@@ -615,7 +506,7 @@ void RemoteBackend::OnConnIo(Conn* conn, uint32_t events) {
 
 void RemoteBackend::ProcessConnInput(Conn* conn) {
   // Completions collected under the lock, signaled outside it.
-  std::vector<std::pair<std::shared_ptr<PendingCall>, DecodedFrame>> ready;
+  std::vector<std::pair<PendingCall, DecodedFrame>> ready;
   std::vector<std::vector<std::byte>> payload_copies;
   Status poison = Status::OK();
   {
@@ -636,9 +527,9 @@ void RemoteBackend::ProcessConnInput(Conn* conn) {
         // A reply that outlived its deadline: already failed, drop it.
         continue;
       }
-      std::shared_ptr<PendingCall> call = std::move(it->second);
+      PendingCall call = std::move(it->second);
       conn->pending.erase(it);
-      loop_->CancelTimer(call->timer_id);
+      loop_->CancelTimer(call.timer_id);
       payload_copies.emplace_back(frame.payload.begin(), frame.payload.end());
       ready.emplace_back(std::move(call), frame);
     }
@@ -654,11 +545,11 @@ void RemoteBackend::ProcessConnInput(Conn* conn) {
       const std::string msg(
           reinterpret_cast<const char*>(payload_copies[i].data()),
           payload_copies[i].size());
-      ready[i].first->Complete(Status::FromCode(frame.status, msg),
-                               frame.opcode, {});
+      ready[i].first.complete(Status::FromCode(frame.status, msg),
+                              frame.opcode, {});
     } else {
-      ready[i].first->Complete(Status::OK(), frame.opcode,
-                               std::move(payload_copies[i]));
+      ready[i].first.complete(Status::OK(), frame.opcode,
+                              std::move(payload_copies[i]));
     }
   }
   if (!poison.ok()) {
@@ -715,7 +606,7 @@ void RemoteBackend::FlushConn(Conn* conn) {
 }
 
 void RemoteBackend::KillConn(Conn* conn, const Status& why) {
-  std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> failed;
+  std::unordered_map<uint64_t, PendingCall> failed;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->fd >= 0) {
@@ -731,8 +622,8 @@ void RemoteBackend::KillConn(Conn* conn, const Status& why) {
     failed.swap(conn->pending);
   }
   for (auto& [id, call] : failed) {
-    loop_->CancelTimer(call->timer_id);
-    call->Complete(why, 0, {});
+    loop_->CancelTimer(call.timer_id);
+    call.complete(why, 0, {});
   }
   if (!failed.empty() && !destroyed_.load(std::memory_order_acquire)) {
     WNW_LOG(kDebug) << "remote(" << addr_ << "): failed " << failed.size()
@@ -741,7 +632,7 @@ void RemoteBackend::KillConn(Conn* conn, const Status& why) {
 }
 
 void RemoteBackend::TimeoutCall(Conn* conn, uint64_t request_id) {
-  std::shared_ptr<PendingCall> call;
+  PendingCall call;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     const auto it = conn->pending.find(request_id);
@@ -751,7 +642,7 @@ void RemoteBackend::TimeoutCall(Conn* conn, uint64_t request_id) {
   }
   // The connection stays up: a late reply is dropped by the unknown-id
   // path, and pipelined successors are still demultiplexed correctly.
-  call->Complete(
+  call.complete(
       Status::DeadlineExceeded(
           "remote request " + std::to_string(request_id) + " to '" + addr_ +
           "' missed its " + std::to_string(options_.deadline_ms) +

@@ -17,16 +17,21 @@
 // event-loop thread. Requests pipeline — any number of calls from any
 // number of sessions are in flight per connection, demultiplexed by
 // request_id — so N concurrent sessions cost N in-flight frames, not N
-// sockets or N threads. Each call carries a deadline (timer-wheel enforced;
-// a late reply is dropped by id, never misdelivered) and transient failures
-// (connection refused/reset/closed, deadline expiry) are retried with
-// linear backoff up to a bounded budget before surfacing as Unavailable /
-// DeadlineExceeded. Server-side backend errors (e.g. OutOfRange for a bad
-// node id) are rebuilt from the wire status verbatim and never retried.
+// sockets or N threads. Every request takes one path, the callback RPC:
+// FetchNeighborsCompletion returns at once, and the blocking calls wait on
+// the same RPC's completion. Each attempt carries a deadline (timer-wheel
+// enforced; a late reply is dropped by id, never misdelivered) and
+// transient failures (connection refused/reset/closed, deadline expiry) are
+// retried with linear backoff on the loop's timers up to a bounded budget
+// before surfacing as Unavailable / DeadlineExceeded. A retry reconnects a
+// pool whose connections are all down, so it reaches a restarted server.
+// Server-side backend errors (e.g. OutOfRange for a bad node id) are
+// rebuilt from the wire status verbatim and never retried.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -78,9 +83,8 @@ class RemoteBackend final : public AccessBackend {
   /// Completion-native fetch: pipelines the request frame and returns
   /// without waiting; the client event loop invokes `done` when the reply,
   /// deadline expiry, or connection failure arrives. Transient failures
-  /// retry via loop timers (never a parked thread), but reconnection only
-  /// happens on submission paths — a retry finding every pool connection
-  /// down fails Unavailable. The caller must keep this backend alive until
+  /// retry via loop timers (never a parked thread) and reconnect like any
+  /// other attempt. The caller must keep this backend alive until
   /// the completion fires (CompletionExecutor holds the operation's
   /// shared_ptr, so stacks composed through it satisfy this for free).
   void FetchNeighborsCompletion(NodeId u, CompletionCallback done) override;
@@ -126,43 +130,49 @@ class RemoteBackend final : public AccessBackend {
  private:
   struct Conn;
   struct PendingCall;
-  struct AsyncCall;
+  struct Rpc;
 
   RemoteBackend(std::string addr, RemoteBackendOptions options);
 
   Status Handshake();
 
-  /// One synchronous RPC with deadline + bounded transient retry. On
-  /// success *response holds the reply payload bytes.
-  Status Call(uint16_t opcode, std::vector<std::byte> request_payload,
-              std::vector<std::byte>* response);
+  using RpcCallback = std::function<void(Result<std::vector<std::byte>>)>;
 
-  /// A single attempt on one pool connection.
-  Status CallOnce(Conn* conn, uint16_t opcode,
-                  const std::vector<std::byte>& request_payload,
-                  std::vector<std::byte>* response);
-
-  /// Callback-completed RPC: no thread waits. The AsyncCall's completion
-  /// fires exactly once, from the loop thread (reply/deadline/conn death)
-  /// or from the submitting thread (immediate submission failure after the
-  /// retry budget).
+  /// The one way a request is issued. `done` fires exactly once with the
+  /// reply payload or the final error: from the loop thread (reply,
+  /// deadline, connection death, retry outcome) or from the submitting
+  /// thread (a submission failure that is not retried).
   void CallAsync(uint16_t opcode, std::vector<std::byte> request_payload,
-                 std::function<void(Status, std::vector<std::byte>)> done);
+                 RpcCallback done);
 
-  /// Launches one attempt of `call`: picks a pool connection (reconnecting
-  /// when off the loop thread; live connections only on it), registers the
-  /// pending entry, and posts the deadline-arm + flush.
-  void StartAsyncAttempt(std::shared_ptr<AsyncCall> call);
+  /// CallAsync, with the calling thread blocked until it completes. Never
+  /// called from the loop thread.
+  Result<std::vector<std::byte>> Await(uint16_t opcode,
+                                       std::vector<std::byte> request_payload);
 
-  /// Terminal demux for an async attempt's outcome: completes the call, or
+  /// Launches one attempt of `rpc`: picks a connected pool connection,
+  /// encodes the frame and registers its pending entry, and posts the
+  /// deadline-arm + flush.
+  void StartAttempt(std::shared_ptr<Rpc> rpc);
+
+  /// The connection for the next attempt, (re)connected if it was down.
+  /// On the loop thread a live connection wins over the round-robin pick.
+  Result<Conn*> PickConn();
+
+  /// Terminal demux for an attempt's outcome: completes the call, or
   /// schedules the next attempt behind a loop backoff timer while the
   /// error is transient and budget remains.
-  void FinishOrRetryAsync(std::shared_ptr<AsyncCall> call, Status status,
-                          uint16_t opcode, std::vector<std::byte> payload);
+  void FinishOrRetry(std::shared_ptr<Rpc> rpc, Status status,
+                     uint16_t opcode, std::vector<std::byte> payload);
 
-  /// (Re)establishes conn's socket if it is down. Caller-thread blocking;
-  /// serialized per connection.
+  /// (Re)establishes conn's socket if it is down; serialized per
+  /// connection. Blocks the calling thread for the connect — including the
+  /// loop thread, which only gets here when every pool connection is down.
   Status EnsureConnected(Conn* conn);
+
+  /// Runs `fn` on the loop thread and returns once it has run: inline
+  /// when already there, otherwise through a post the caller waits on.
+  void RunOnLoop(const std::function<void()>& fn);
 
   // Loop-thread handlers.
   void OnConnIo(Conn* conn, uint32_t events);

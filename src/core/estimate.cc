@@ -77,18 +77,6 @@ void ProbabilityEstimator::RecordForwardWalk(std::span<const NodeId> path) {
   history_.RecordWalk(path);
 }
 
-void ProbabilityEstimator::AddRep(AccessInterface& access, NodeId u, Rng& rng,
-                                  PtEstimate* est) {
-  // (Kept for interface symmetry; batch/adaptive paths use Welford directly.)
-  Welford w;
-  w.mean = est->mean;
-  w.m2 = est->variance * std::max(0, est->reps - 1);
-  w.n = est->reps;
-  w.Add(backward_->EstimateOnce(access, u, walk_length_, rng));
-  ++total_backward_walks_;
-  *est = w.ToEstimate();
-}
-
 PtEstimate ProbabilityEstimator::Estimate(AccessInterface& access, NodeId u,
                                           Rng& rng) {
   return EstimateAtStep(access, u, walk_length_, rng);

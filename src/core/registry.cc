@@ -1,6 +1,7 @@
 #include "core/registry.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 #include "util/string_util.h"
@@ -151,10 +152,12 @@ bool ParamReader::Read(std::string_view key, uint64_t* out) {
 bool ParamReader::Read(std::string_view key, double* out) {
   const std::string* raw = Consume(key);
   if (raw == nullptr) return false;
-  if (!ParseDouble(*raw, out)) {
+  double v = 0.0;
+  if (!ParseDouble(*raw, &v) || std::isnan(v)) {
     Fail(key, "a number");
     return false;
   }
+  *out = v;
   return true;
 }
 
@@ -270,11 +273,6 @@ std::span<const ReservedKeyInfo> ReservedSessionKeys() {
       {"threads",
        "executor worker threads, in [0, 256]; 0 sizes the pool to the "
        "window (requires window)"},
-      {"dispatch",
-       "executor dispatch mode: completion (default; completion-native "
-       "backends finish off their event loop, pool ≈ cores otherwise) | "
-       "threads (every fetch on a pool worker, threads ≈ window — the "
-       "ablation baseline; requires window)"},
       {"engine",
        "execution engine: block runs the spec on the block-scheduled walk "
        "engine (RunWalkEngine / wnw_sample); plain SamplingSession::Open "

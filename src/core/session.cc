@@ -328,25 +328,6 @@ Result<ReservedSelections> ExtractReservedParams(SamplerConfig* config,
     return Status::InvalidArgument(
         "executor parameter threads requires window");
   }
-  AsyncOptions::Dispatch dispatch = AsyncOptions::Dispatch::kCompletion;
-  const auto dispatch_it = config->params.find("dispatch");
-  const bool dispatch_present = dispatch_it != config->params.end();
-  if (dispatch_present) {
-    if (dispatch_it->second == "completion") {
-      dispatch = AsyncOptions::Dispatch::kCompletion;
-    } else if (dispatch_it->second == "threads") {
-      dispatch = AsyncOptions::Dispatch::kThreadPool;
-    } else {
-      return Status::InvalidArgument(
-          "dispatch must be 'completion' or 'threads', got '" +
-          dispatch_it->second + "'");
-    }
-    config->params.erase(dispatch_it);
-    if (!window_present) {
-      return Status::InvalidArgument(
-          "executor parameter dispatch requires window");
-    }
-  }
   if (window_present) {
     if (window < 1 || window > 1024) {
       return Status::InvalidArgument("window must be in [1, 1024]");
@@ -355,8 +336,7 @@ Result<ReservedSelections> ExtractReservedParams(SamplerConfig* config,
       return Status::InvalidArgument("threads must be in [0, 256]");
     }
     options->async = AsyncOptions{.window = static_cast<int>(window),
-                                  .threads = static_cast<int>(threads),
-                                  .dispatch = dispatch};
+                                  .threads = static_cast<int>(threads)};
     selected.executor = true;
   }
   return selected;

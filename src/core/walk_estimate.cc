@@ -60,6 +60,9 @@ Status ValidateWalkEstimate(const char* sampler,
   if (options.estimate.base_reps < 1) {
     return Status::InvalidArgument(prefix + "base_reps must be >= 1");
   }
+  if (options.estimate.target_rse < 0.0) {
+    return Status::InvalidArgument(prefix + "target_rse must be >= 0");
+  }
   if (options.estimate.use_weighted &&
       !(options.estimate.epsilon > 0.0 && options.estimate.epsilon <= 1.0)) {
     return Status::InvalidArgument(prefix + "epsilon must lie in (0, 1]");

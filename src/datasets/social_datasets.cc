@@ -138,4 +138,40 @@ SocialDataset MakeSyntheticBA(NodeId n, uint32_t m, uint64_t seed) {
   return ds;
 }
 
+Result<Graph> DatasetSpec::Build(uint64_t seed) const {
+  if (kind == Kind::kUniformRandom) {
+    return MakeUniformRandomMultigraph(n, m, seed);
+  }
+  Rng rng(seed);
+  return MakeBarabasiAlbert(n, m, rng);
+}
+
+Result<DatasetSpec> ParseDatasetSpec(std::string_view name) {
+  DatasetSpec spec;
+  std::string_view prefix;
+  if (name.starts_with("ba:")) {
+    prefix = "ba";
+  } else if (name.starts_with("rand:")) {
+    prefix = "rand";
+    spec.kind = DatasetSpec::Kind::kUniformRandom;
+  } else {
+    return Status::NotFound("'" + std::string(name) +
+                            "' is not a ba:N,M or rand:N,M dataset");
+  }
+  const auto parts = SplitString(name.substr(prefix.size() + 1), ",");
+  uint64_t n = 0, m = 0;
+  if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
+      !ParseUint64(parts[1], &m)) {
+    return Status::InvalidArgument("expected --dataset " +
+                                   std::string(prefix) + ":N,M");
+  }
+  if (n > UINT32_MAX || m > UINT32_MAX) {
+    return Status::InvalidArgument("--dataset " + std::string(name) +
+                                   ": N and M must be at most 4294967295");
+  }
+  spec.n = static_cast<NodeId>(n);
+  spec.m = static_cast<uint32_t>(m);
+  return spec;
+}
+
 }  // namespace wnw

@@ -8,9 +8,11 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "graph/attributes.h"
 #include "graph/graph.h"
+#include "util/status.h"
 
 namespace wnw {
 
@@ -48,5 +50,25 @@ SocialDataset MakeSmallScaleFree(uint64_t seed);
 /// Plain Barabási–Albert dataset (paper's synthetic sweep: 10k-20k nodes,
 /// m = 5). Column: none (degree aggregates only).
 SocialDataset MakeSyntheticBA(NodeId n, uint32_t m, uint64_t seed);
+
+/// A parametric graph named on a command line: "ba:N,M" (Barabási–Albert,
+/// N nodes, M edges per arriving node) or "rand:N,M" (uniform random
+/// multigraph, N nodes, M sampled edges).
+struct DatasetSpec {
+  enum class Kind { kBarabasiAlbert, kUniformRandom };
+  Kind kind = Kind::kBarabasiAlbert;
+  NodeId n = 0;
+  uint32_t m = 0;
+
+  /// Builds the graph. Every tool builds the same graph for the same
+  /// (spec, seed), so a snapshot of a dataset serves the exact graph a
+  /// dataset-built session walks.
+  Result<Graph> Build(uint64_t seed) const;
+};
+
+/// Parses "ba:N,M" / "rand:N,M". NotFound when `name` has neither prefix
+/// (a named dataset such as "small"); InvalidArgument when N or M is not a
+/// non-negative integer or exceeds UINT32_MAX (node ids are 32-bit).
+Result<DatasetSpec> ParseDatasetSpec(std::string_view name);
 
 }  // namespace wnw

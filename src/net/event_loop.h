@@ -118,7 +118,8 @@ class EventLoop {
   void Stop();
 
   bool in_loop_thread() const {
-    return std::this_thread::get_id() == loop_thread_;
+    return std::this_thread::get_id() ==
+           loop_thread_.load(std::memory_order_relaxed);
   }
 
   /// Monotonic seconds on this loop's clock (steady_clock, epoch = Create).
@@ -135,7 +136,8 @@ class EventLoop {
   std::unordered_map<int, std::shared_ptr<IoHandler>> handlers_;
   TimerWheel timers_;
   std::atomic<bool> stopped_{false};
-  std::thread::id loop_thread_{};
+  // Atomic: callers on any thread ask in_loop_thread() while Run() starts.
+  std::atomic<std::thread::id> loop_thread_{};
   std::chrono::steady_clock::time_point epoch_;
 
   std::mutex post_mu_;

@@ -99,5 +99,35 @@ TEST(DatasetsTest, SmallDiameters) {
   EXPECT_LE(MakeTwitterLike(0.04, 9, false).diameter_estimate, 10u);
 }
 
+TEST(DatasetsTest, ParseDatasetSpecReadsBothFamilies) {
+  const auto ba = ParseDatasetSpec("ba:200,3");
+  ASSERT_TRUE(ba.ok()) << ba.status().ToString();
+  EXPECT_EQ(ba->kind, DatasetSpec::Kind::kBarabasiAlbert);
+  EXPECT_EQ(ba->n, 200u);
+  EXPECT_EQ(ba->m, 3u);
+  const auto graph = ba->Build(5);
+  ASSERT_TRUE(graph.ok());
+  EXPECT_EQ(graph->num_nodes(), 200u);
+
+  const auto rand = ParseDatasetSpec("rand:4294967295,10");
+  ASSERT_TRUE(rand.ok()) << rand.status().ToString();
+  EXPECT_EQ(rand->kind, DatasetSpec::Kind::kUniformRandom);
+  EXPECT_EQ(rand->n, 4294967295u);
+  EXPECT_EQ(rand->m, 10u);
+}
+
+TEST(DatasetsTest, ParseDatasetSpecRejectsMalformedAndOversized) {
+  // Named datasets are not parametric: NotFound, so callers fall through.
+  EXPECT_EQ(ParseDatasetSpec("small").status().code(), StatusCode::kNotFound);
+  for (const char* name :
+       {"ba:", "ba:10", "ba:10,2,3", "ba:x,2", "rand:-1,2", "rand:10,",
+        // Above UINT32_MAX: NodeId is 32-bit, so these used to wrap.
+        "rand:4294967298,10", "ba:4294967306,2", "rand:10,4294967296"}) {
+    EXPECT_EQ(ParseDatasetSpec(name).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
+  }
+}
+
 }  // namespace
 }  // namespace wnw

@@ -146,7 +146,10 @@ TEST(SamplerRegistryTest, UnknownParameterIsInvalidArgument) {
         "burnin:srw?geweke_first=0.8&geweke_last=0.5", "we:srw?scale=0",
         "we:srw?percentile=2", "we:srw?base_reps=0", "we:srw?epsilon=0",
         "walk:srw?steps=0", "we-path:srw?stride=0",
-        "we-path:srw?max_walks=0"}) {
+        "we-path:srw?max_walks=0", "burnin:srw?geweke_threshold=nan",
+        "we:mhrw?target_rse=-1",
+        // Not a session key: the executor has no dispatch switch.
+        "we:mhrw?window=8&dispatch=threads"}) {
     const auto session = SamplingSession::Open(&g, spec);
     ASSERT_FALSE(session.ok()) << spec;
     EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument) << spec;

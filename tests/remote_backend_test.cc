@@ -2,8 +2,9 @@
 // byte-identical samples at identical query cost against a loopback
 // wnw server vs the in-process origin), failure paths (dead server at
 // connect, server killed mid-run, deadline expiry against a mute peer →
-// bounded retries, then Unavailable/DeadlineExceeded), the session-stats
-// remote telemetry, and the spec-string conflict matrix.
+// bounded retries, then Unavailable/DeadlineExceeded; a server restarted
+// within the retry budget is reached by blocking and callback calls alike),
+// the session-stats remote telemetry, and the spec-string conflict matrix.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -11,8 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <future>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "access/remote_backend.h"
@@ -77,6 +83,16 @@ std::string Addr(int port) {
   return "127.0.0.1:" + std::to_string(port);
 }
 
+// FetchNeighborsCompletion with the caller blocked on its callback.
+Result<FetchReply> FetchByCallback(RemoteBackend& remote, NodeId u) {
+  auto reply = std::make_shared<std::promise<Result<FetchReply>>>();
+  auto future = reply->get_future();
+  remote.FetchNeighborsCompletion(u, [reply](Result<FetchReply> result) {
+    reply->set_value(std::move(result));
+  });
+  return future.get();
+}
+
 class RemoteBackendTest : public ::testing::Test {
  protected:
   void StartServer(AccessOptions options = {}) {
@@ -87,6 +103,38 @@ class RemoteBackendTest : public ::testing::Test {
     auto server = net::WnwServer::Start(backend_, server_options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).value();
+  }
+
+  // Shuts the server down, then brings a fresh one up on the same port
+  // about 100 ms into `fetch`, whose first attempt fails and whose one
+  // retry waits 300 ms: the retry must reconnect to the restarted server.
+  void ExpectRetryReachesRestartedServer(
+      const std::function<Result<FetchReply>(RemoteBackend&, NodeId)>&
+          fetch) {
+    StartServer();
+    RemoteBackendOptions options = FastFail();
+    options.retry_backoff_ms = 300.0;
+    auto remote = RemoteBackend::Connect(Addr(server_->port()), options);
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    ASSERT_TRUE((*remote)->FetchNeighbors(0).ok());
+
+    const int port = server_->port();
+    server_->Shutdown();
+    std::unique_ptr<net::WnwServer> restarted;
+    std::thread restart([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      net::ServerOptions server_options;
+      server_options.threads = 2;
+      server_options.port = port;
+      auto started = net::WnwServer::Start(backend_, server_options);
+      if (started.ok()) restarted = std::move(started).value();
+    });
+    auto reply = fetch(**remote, 5);
+    restart.join();
+    ASSERT_NE(restarted, nullptr) << "could not restart on port " << port;
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->TakeNeighbors(), testing::ToVec(graph_.Neighbors(5)));
+    EXPECT_GE((*remote)->retries(), 1u);
   }
 
   Graph graph_;
@@ -133,13 +181,24 @@ TEST_F(RemoteBackendTest, ServerSideErrorsArriveVerbatimAndUnretried) {
   auto remote = RemoteBackend::Connect(Addr(server_->port()), FastFail());
   ASSERT_TRUE(remote.ok());
   const uint64_t rpcs_before = (*remote)->rpcs();
-  auto reply =
-      (*remote)->FetchNeighbors(static_cast<NodeId>(graph_.num_nodes() + 1));
+  const NodeId bad = static_cast<NodeId>(graph_.num_nodes() + 1);
+  auto reply = (*remote)->FetchNeighbors(bad);
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kOutOfRange);
   // A semantic error is not transient: exactly one round trip, no retries.
   EXPECT_EQ((*remote)->rpcs(), rpcs_before + 1);
   EXPECT_EQ((*remote)->retries(), 0u);
+
+  // The callback call is the same RPC: one round trip, failed or not.
+  auto by_callback = FetchByCallback(**remote, bad);
+  ASSERT_FALSE(by_callback.ok());
+  EXPECT_EQ(by_callback.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ((*remote)->rpcs(), rpcs_before + 2);
+  EXPECT_EQ((*remote)->retries(), 0u);
+  ASSERT_TRUE((*remote)->FetchNeighbors(1).ok());
+  EXPECT_EQ((*remote)->rpcs(), rpcs_before + 3);
+  ASSERT_TRUE(FetchByCallback(**remote, 2).ok());
+  EXPECT_EQ((*remote)->rpcs(), rpcs_before + 4);
 }
 
 TEST(RemoteBackendFailureTest, DeadServerAtConnectIsUnavailable) {
@@ -180,6 +239,16 @@ TEST_F(RemoteBackendTest, ServerKilledMidRunFailsBoundedThenUnavailable) {
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable);
   EXPECT_GE((*remote)->retries(), 1u);  // it did retry before giving up
+}
+
+TEST_F(RemoteBackendTest, BlockingRetryReachesRestartedServer) {
+  ExpectRetryReachesRestartedServer([](RemoteBackend& remote, NodeId u) {
+    return remote.FetchNeighbors(u);
+  });
+}
+
+TEST_F(RemoteBackendTest, CallbackRetryReachesRestartedServer) {
+  ExpectRetryReachesRestartedServer(FetchByCallback);
 }
 
 // --- the acceptance gate -----------------------------------------------------

@@ -45,7 +45,6 @@
 #include "engine/walk_engine.h"
 #include "estimation/aggregates.h"
 #include "graph/algorithms.h"
-#include "graph/generators.h"
 #include "graph/io.h"
 #include "util/string_util.h"
 
@@ -154,33 +153,10 @@ Result<Graph> LoadInputGraph(const Args& args) {
     WNW_ASSIGN_OR_RETURN(Subgraph lcc, LargestComponent(loaded.graph));
     return std::move(lcc.graph);
   }
-  if (args.dataset.rfind("ba:", 0) == 0) {
-    // A view into args.dataset, not a substr temporary: the returned
-    // views must outlive this statement.
-    const std::string_view ba_spec =
-        std::string_view(args.dataset).substr(3);
-    const auto parts = SplitString(ba_spec, ",");
-    uint64_t n = 0, m = 0;
-    if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
-        !ParseUint64(parts[1], &m)) {
-      return Status::InvalidArgument("expected --dataset ba:N,M");
-    }
-    Rng rng(args.seed);
-    return MakeBarabasiAlbert(static_cast<NodeId>(n),
-                              static_cast<uint32_t>(m), rng);
-  }
-  if (args.dataset.rfind("rand:", 0) == 0) {
-    const std::string_view rand_spec =
-        std::string_view(args.dataset).substr(5);
-    const auto parts = SplitString(rand_spec, ",");
-    uint64_t n = 0, m = 0;
-    if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
-        !ParseUint64(parts[1], &m)) {
-      return Status::InvalidArgument("expected --dataset rand:N,M");
-    }
-    // Same construction as wnw_snapshot's rand: dataset for the same seed,
-    // so a streamed rand: snapshot serves the exact graph this builds.
-    return MakeUniformRandomMultigraph(static_cast<NodeId>(n), m, args.seed);
+  const Result<DatasetSpec> parametric = ParseDatasetSpec(args.dataset);
+  if (parametric.ok()) return parametric->Build(args.seed);
+  if (parametric.status().code() != StatusCode::kNotFound) {
+    return parametric.status();
   }
   if (args.dataset == "gplus") {
     return MakeGPlusLike(args.scale, args.seed).graph;

@@ -165,36 +165,13 @@ Result<SourceGraph> LoadSource(const Args& args) {
   // Synthetic datasets: identical construction to wnw_sample's --dataset
   // for the same seed, so a snapshot of a dataset serves the exact graph a
   // dataset-built session walks.
-  if (args.dataset.rfind("ba:", 0) == 0) {
-    // A view into args.dataset, not a substr temporary: the returned
-    // views must outlive this statement.
-    const std::string_view ba_spec =
-        std::string_view(args.dataset).substr(3);
-    const auto parts = SplitString(ba_spec, ",");
-    uint64_t n = 0, m = 0;
-    if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
-        !ParseUint64(parts[1], &m)) {
-      return Status::InvalidArgument("expected --dataset ba:N,M");
-    }
-    Rng rng(args.seed);
-    WNW_ASSIGN_OR_RETURN(Graph graph,
-                         MakeBarabasiAlbert(static_cast<NodeId>(n),
-                                            static_cast<uint32_t>(m), rng));
+  const Result<DatasetSpec> parametric = ParseDatasetSpec(args.dataset);
+  if (parametric.ok()) {
+    WNW_ASSIGN_OR_RETURN(Graph graph, parametric->Build(args.seed));
     return SourceGraph{std::move(graph), {}};
   }
-  if (args.dataset.rfind("rand:", 0) == 0) {
-    const std::string_view rand_spec =
-        std::string_view(args.dataset).substr(5);
-    const auto parts = SplitString(rand_spec, ",");
-    uint64_t n = 0, m = 0;
-    if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
-        !ParseUint64(parts[1], &m)) {
-      return Status::InvalidArgument("expected --dataset rand:N,M");
-    }
-    WNW_ASSIGN_OR_RETURN(
-        Graph graph,
-        MakeUniformRandomMultigraph(static_cast<NodeId>(n), m, args.seed));
-    return SourceGraph{std::move(graph), {}};
+  if (parametric.status().code() != StatusCode::kNotFound) {
+    return parametric.status();
   }
   if (args.dataset == "gplus") {
     return SourceGraph{MakeGPlusLike(args.scale, args.seed).graph, {}};
@@ -233,17 +210,13 @@ int RunStream(const Args& args) {
     }
     streaming_source = std::move(opened).value();
   } else if (args.dataset.rfind("rand:", 0) == 0) {
-    const std::string_view rand_spec =
-        std::string_view(args.dataset).substr(5);
-    const auto parts = SplitString(rand_spec, ",");
-    uint64_t n = 0, m = 0;
-    if (parts.size() != 2 || !ParseUint64(parts[0], &n) ||
-        !ParseUint64(parts[1], &m)) {
-      std::fprintf(stderr, "error: expected --dataset rand:N,M\n");
+    const Result<DatasetSpec> spec = ParseDatasetSpec(args.dataset);
+    if (!spec.ok()) {
+      std::fprintf(stderr, "error: %s\n", spec.status().ToString().c_str());
       return 2;
     }
-    streaming_source = std::make_unique<RandomEdgeSource>(
-        static_cast<NodeId>(n), m, args.seed);
+    streaming_source =
+        std::make_unique<RandomEdgeSource>(spec->n, spec->m, args.seed);
   } else {
     auto source = LoadSource(args);
     if (!source.ok()) {
