@@ -276,9 +276,12 @@ void CompletionExecutor::DispatchNative(Op op) {
       // and if this wrapper (destroyed later, on the backend's loop
       // thread) still held one, the backend's destructor would join its
       // own loop thread. Retired references are released from submission
-      // paths / the executor destructor instead.
+      // paths / the executor destructor instead. The op is counted here
+      // too, so a waiter reading stats() after its reply already sees it.
       std::lock_guard<std::mutex> lock(self->mu_);
       self->retired_.push_back(std::move(ctx->backend));
+      ++self->stats_.completed;
+      ++self->stats_.native_completions;
     }
     FetchCallback done = std::move(ctx->done);
     done(std::move(result));
@@ -289,8 +292,6 @@ void CompletionExecutor::DispatchNative(Op op) {
 void CompletionExecutor::OnNativeComplete() {
   std::unique_lock<std::mutex> lock(mu_);
   --in_flight_;
-  ++stats_.completed;
-  ++stats_.native_completions;
   if (stopping_) {
     // The destructor may be waiting for the last native completion. Only
     // the notify happens after the counters — nothing below touches the
@@ -354,12 +355,16 @@ void CompletionExecutor::WorkerLoop() {
     // backend's and then the executor's destructor, and the executor would
     // join() its own thread (EDEADLK abort).
     op.fn = nullptr;
+    // Count the op before publishing its result, so a waiter reading
+    // stats() after its reply already sees it.
+    lock.lock();
+    ++stats_.completed;
+    lock.unlock();
     FetchCallback done = std::move(op.done);
     done(std::move(result));
     done = nullptr;
     lock.lock();
     --in_flight_;
-    ++stats_.completed;
     if (!stopping_) PumpLocked(lock);
   }
 }

@@ -164,7 +164,8 @@ class CompletionExecutor {
 
   struct Stats {
     uint64_t submitted = 0;   // operations accepted
-    uint64_t completed = 0;   // operations that ran to completion
+    uint64_t completed = 0;   // operations that ran to completion; counted
+                              // before the result is delivered
     uint64_t cancelled = 0;   // queued operations dropped by shutdown
     int max_in_flight = 0;    // peak concurrent operations (<= window)
     uint64_t native_completions = 0;  // completed off a backend event loop

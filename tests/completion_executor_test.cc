@@ -1,22 +1,15 @@
-// CompletionExecutor tests. The deterministic half drives the completion
-// dispatch path with FakeCompletionBackend, a test double that queues every
-// FetchNeighborsCompletion callback and fires it only when the test says so
-// — so window admission, FIFO ordering, reordered/late/double completions,
-// and shutdown-with-in-flight-requests are all driven step by step on the
-// test's own thread, with no sleeps and no sockets. An inline-completing
-// variant covers the reentrancy trampoline (a backend may complete before
-// the submission returns) without unbounded recursion.
-//
-// The thread-backed half runs the worker pool against a genuinely slow
-// backend: the bounded window, sample-for-sample determinism of the async
-// path against the synchronous one for EVERY registered sampler, shutdown
-// with requests still in flight, spec-string plumbing (?window=&threads=),
-// and concurrent walker pools. The sanitizer CI jobs (ASan/UBSan and TSan)
-// run this file — the threading here is load-bearing, not decorative.
+// Deterministic-concurrency tests for the completion dispatch path. The
+// FakeCompletionBackend test double queues every FetchNeighborsCompletion
+// callback and fires them only when the test says so — so window admission,
+// FIFO ordering, reordered/late/double completions, and shutdown-with-
+// in-flight-requests are all driven step by step on the test's own thread,
+// with no sleeps and no sockets. An inline-completing variant covers the
+// reentrancy trampoline (a backend may complete before the submission
+// returns) without unbounded recursion. The thread-backed worker-pool tests
+// live in async_executor_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <future>
@@ -27,9 +20,6 @@
 
 #include "access/access_interface.h"
 #include "access/completion_executor.h"
-#include "access/decorators.h"
-#include "core/session.h"
-#include "graph/generators.h"
 #include "test_util.h"
 
 namespace wnw {
@@ -468,350 +458,6 @@ TEST(CompletionDispatch, SingleFetchThroughExecutorCompletesInline) {
   EXPECT_EQ(testing::ToVec(access.Neighbors(22)), ListFor(22));
   EXPECT_EQ(access.query_cost(), 2u);
   EXPECT_EQ(executor->stats().native_completions, 2u);
-}
-
-// --- the worker pool over thread-backed origins ------------------------------
-
-/// Wraps a backend with a real per-request delay and records the maximum
-/// number of requests it ever observed concurrently in flight.
-class SlowProbeBackend final : public AccessBackend {
- public:
-  SlowProbeBackend(std::shared_ptr<AccessBackend> inner,
-                   std::chrono::milliseconds delay)
-      : inner_(std::move(inner)), delay_(delay) {}
-
-  std::string_view name() const override { return "slowprobe"; }
-  uint64_t num_nodes() const override { return inner_->num_nodes(); }
-  const AccessOptions& options() const override { return inner_->options(); }
-
-  Result<FetchReply> FetchNeighbors(NodeId u) override {
-    const int now = 1 + in_flight_.fetch_add(1, std::memory_order_acq_rel);
-    int seen = max_in_flight_.load(std::memory_order_relaxed);
-    while (now > seen &&
-           !max_in_flight_.compare_exchange_weak(seen, now)) {
-    }
-    std::this_thread::sleep_for(delay_);
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    fetches_.fetch_add(1, std::memory_order_relaxed);
-    return inner_->FetchNeighbors(u);
-  }
-
-  int max_in_flight() const {
-    return max_in_flight_.load(std::memory_order_relaxed);
-  }
-  uint64_t fetches() const {
-    return fetches_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::shared_ptr<AccessBackend> inner_;
-  std::chrono::milliseconds delay_;
-  std::atomic<int> in_flight_{0};
-  std::atomic<int> max_in_flight_{0};
-  std::atomic<uint64_t> fetches_{0};
-};
-
-TEST(CompletionExecutorTest, WindowBoundsInFlightRequests) {
-  const Graph g = testing::MakeTestBA(128, 3);
-  auto probe = std::make_shared<SlowProbeBackend>(
-      std::make_shared<InMemoryBackend>(&g), std::chrono::milliseconds(2));
-  // More workers than window slots: the window, not the pool, must bind.
-  CompletionExecutor executor({.window = 3, .threads = 8});
-  std::vector<NodeId> nodes(64);
-  for (NodeId u = 0; u < 64; ++u) nodes[u] = u;
-  auto reply = executor.SubmitBatch(probe, nodes).Wait();
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->lists.size(), 64u);
-  EXPECT_GT(probe->max_in_flight(), 1);  // it really ran concurrently
-  EXPECT_LE(probe->max_in_flight(), 3);
-  const auto stats = executor.stats();
-  EXPECT_EQ(stats.submitted, 64u);
-  EXPECT_EQ(stats.completed, 64u);
-  EXPECT_LE(stats.max_in_flight, 3);
-}
-
-TEST(CompletionExecutorTest, WindowOneFullySerializes) {
-  const Graph g = testing::MakeTestBA(64, 3);
-  auto probe = std::make_shared<SlowProbeBackend>(
-      std::make_shared<InMemoryBackend>(&g), std::chrono::milliseconds(1));
-  CompletionExecutor executor({.window = 1, .threads = 4});
-  std::vector<NodeId> nodes(32);
-  for (NodeId u = 0; u < 32; ++u) nodes[u] = u;
-  ASSERT_TRUE(executor.SubmitBatch(probe, nodes).Wait().ok());
-  EXPECT_EQ(probe->max_in_flight(), 1);
-}
-
-TEST(CompletionExecutorTest, BatchRepliesKeepRequestOrder) {
-  const Graph g = testing::MakeHouseGraph();
-  auto backend = std::make_shared<InMemoryBackend>(&g);
-  CompletionExecutor executor({.window = 4});
-  const std::vector<NodeId> nodes = {3, 0, 1};
-  auto reply = executor.SubmitBatch(backend, nodes).Wait();
-  ASSERT_TRUE(reply.ok());
-  ASSERT_EQ(reply->lists.size(), 3u);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    EXPECT_EQ(reply->lists[i],
-              backend->FetchNeighbors(nodes[i])->TakeNeighbors());
-  }
-}
-
-TEST(CompletionExecutorTest, ShutdownWithInFlightRequestsIsSafe) {
-  const Graph g = testing::MakeTestBA(128, 3);
-  auto probe = std::make_shared<SlowProbeBackend>(
-      std::make_shared<InMemoryBackend>(&g), std::chrono::milliseconds(5));
-  std::vector<CompletionExecutor::FetchFuture> futures;
-  {
-    CompletionExecutor executor({.window = 2, .threads = 2});
-    for (NodeId u = 0; u < 40; ++u) {
-      futures.push_back(executor.SubmitFetch(probe, u));
-    }
-    // Destroy immediately: some requests are mid-sleep, most still queued.
-  }
-  // Every future resolves — either with a served reply or with the
-  // cancellation status — and none hangs or crashes (ASan checks the rest).
-  size_t served = 0, cancelled = 0;
-  for (auto& future : futures) {
-    const auto reply = future.get();
-    if (reply.ok()) {
-      ++served;
-    } else {
-      EXPECT_EQ(reply.status().code(), StatusCode::kFailedPrecondition);
-      ++cancelled;
-    }
-  }
-  EXPECT_EQ(served + cancelled, 40u);
-  EXPECT_EQ(served, probe->fetches());
-  EXPECT_GT(cancelled, 0u);  // with 5ms tasks, shutdown won the race
-}
-
-TEST(CompletionExecutorTest, DroppedBatchHandleStillRunsToCompletion) {
-  const Graph g = testing::MakeTestBA(64, 3);
-  auto probe = std::make_shared<SlowProbeBackend>(
-      std::make_shared<InMemoryBackend>(&g), std::chrono::milliseconds(1));
-  CompletionExecutor executor({.window = 4});
-  std::vector<NodeId> nodes(16);
-  for (NodeId u = 0; u < 16; ++u) nodes[u] = u;
-  {
-    auto handle = executor.SubmitBatch(probe, nodes);
-    EXPECT_TRUE(handle.pending());
-    // Dropped without Wait(): results are discarded, nothing hangs, and the
-    // backend (captured by shared_ptr) stays alive for the tasks.
-  }
-  // Drain by submitting and waiting one more task through the same queue.
-  ASSERT_TRUE(executor.SubmitFetch(probe, 0).get().ok());
-}
-
-TEST(AccessInterfaceAsyncTest, PrefetchAsyncFoldsOnWaitWithIdenticalBilling) {
-  const Graph g = testing::MakeTestBA(80, 3);
-  LatencyConfig latency;
-  latency.mean_ms = 50.0;
-  auto stack = BuildBackendStack(&g, {.access = {}, .latency = latency});
-  auto executor = std::make_shared<CompletionExecutor>(AsyncOptions{});
-  AccessInterface access(stack, nullptr, executor);
-  const std::vector<NodeId> nodes = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  access.PrefetchAsync(nodes);
-  EXPECT_TRUE(access.has_pending_prefetch());
-  access.Wait();
-  EXPECT_FALSE(access.has_pending_prefetch());
-  // Billing matches the synchronous batch path exactly: every node pays
-  // distinct-node cost, the session waits one (slowest) round trip.
-  EXPECT_EQ(access.query_cost(), 10u);
-  EXPECT_EQ(access.meter().backend_fetches, 10u);
-  EXPECT_EQ(access.meter().prefetch_batches, 1u);
-  EXPECT_DOUBLE_EQ(access.waited_seconds(), 0.050);
-  for (NodeId u : nodes) access.Neighbors(u);
-  EXPECT_EQ(access.meter().backend_fetches, 10u);  // all served from cache
-}
-
-TEST(AccessInterfaceAsyncTest, RateLimitStallsBillIdenticallyAsyncVsSync) {
-  // Token stalls are server-enforced serially (they never parallelize), so
-  // the async batch must bill max(latency) + sum(token stalls) exactly like
-  // RateLimitBackend::FetchBatch does on the synchronous path.
-  const Graph g = MakeCycle(100).value();
-  AccessOptions access_opts;
-  access_opts.rate_limit = RateLimitConfig{10, 60.0};
-  std::vector<NodeId> nodes(25);
-  for (NodeId u = 0; u < 25; ++u) nodes[u] = u;
-
-  auto sync_stack = BuildBackendStack(&g, {.access = access_opts});
-  AccessInterface sync_access(sync_stack);
-  sync_access.Prefetch(nodes);
-  EXPECT_DOUBLE_EQ(sync_access.waited_seconds(), 120.0);  // 2 window stalls
-
-  auto async_stack = BuildBackendStack(&g, {.access = access_opts});
-  auto executor =
-      std::make_shared<CompletionExecutor>(AsyncOptions{.window = 4});
-  AccessInterface async_access(async_stack, nullptr, executor);
-  async_access.Prefetch(nodes);
-  EXPECT_DOUBLE_EQ(async_access.waited_seconds(), 120.0);
-}
-
-TEST(AccessInterfaceAsyncTest, QueryOnPendingNodeFoldsLazily) {
-  const Graph g = testing::MakeTestBA(80, 3);
-  auto backend = std::make_shared<InMemoryBackend>(&g);
-  auto executor = std::make_shared<CompletionExecutor>(AsyncOptions{});
-  AccessInterface access(backend, nullptr, executor);
-  const std::vector<NodeId> nodes = {10, 11, 12};
-  access.PrefetchAsync(nodes);
-  // Touching a pending node folds the batch; no duplicate backend fetch.
-  const auto list = access.Neighbors(11);
-  EXPECT_EQ(std::vector<NodeId>(list.begin(), list.end()),
-            backend->FetchNeighbors(11)->TakeNeighbors());
-  EXPECT_FALSE(access.has_pending_prefetch());
-  EXPECT_EQ(access.meter().backend_fetches, 3u);
-  EXPECT_EQ(access.query_cost(), 3u);
-}
-
-TEST(AccessInterfaceAsyncTest, DestructionWithPendingPrefetchIsSafe) {
-  const Graph g = testing::MakeTestBA(200, 3);
-  auto probe = std::make_shared<SlowProbeBackend>(
-      std::make_shared<InMemoryBackend>(&g), std::chrono::milliseconds(1));
-  auto executor = std::make_shared<CompletionExecutor>(
-      AsyncOptions{.window = 2, .threads = 2});
-  {
-    AccessInterface access(probe, nullptr, executor);
-    std::vector<NodeId> nodes(64);
-    for (NodeId u = 0; u < 64; ++u) nodes[u] = u;
-    access.PrefetchAsync(nodes);
-    // Dropped with the batch still in flight; the destructor folds it.
-  }
-  EXPECT_EQ(probe->fetches(), 64u);
-}
-
-// --- the acceptance bar ------------------------------------------------------
-
-TEST(AsyncAcceptanceTest, EverySamplerDrawsIdenticallyAsyncVsSync) {
-  const Graph g = testing::MakeTestBA(120, 3);
-  for (const std::string& name : SamplerRegistry::Global().Names()) {
-    const std::string params =
-        name.rfind("we", 0) == 0 ? "?diameter=4" : "";
-    const std::string sync_spec = name + ":srw" + params;
-    SessionOptions opts;
-    opts.seed = 99;
-    auto sync_session = SamplingSession::Open(&g, sync_spec, opts);
-    ASSERT_TRUE(sync_session.ok()) << sync_spec;
-    std::vector<NodeId> sync_samples;
-    ASSERT_TRUE((*sync_session)->DrawInto(&sync_samples, 15).ok())
-        << sync_spec;
-    EXPECT_EQ((*sync_session)->Stats().async_window, 0) << sync_spec;
-
-    // Same sampler seed through a window-bounded executor: the async path
-    // must change WHEN requests fly, never what they return or cost.
-    SessionOptions async_opts;
-    async_opts.seed = 99;
-    async_opts.async = AsyncOptions{.window = 4, .threads = 4};
-    auto async_session = SamplingSession::Open(&g, sync_spec, async_opts);
-    ASSERT_TRUE(async_session.ok()) << sync_spec;
-    std::vector<NodeId> async_samples;
-    ASSERT_TRUE((*async_session)->DrawInto(&async_samples, 15).ok())
-        << sync_spec;
-    EXPECT_EQ(async_samples, sync_samples) << sync_spec;
-    EXPECT_EQ((*async_session)->Stats().query_cost,
-              (*sync_session)->Stats().query_cost)
-        << sync_spec;
-    EXPECT_EQ((*async_session)->Stats().async_window, 4) << sync_spec;
-  }
-}
-
-TEST(AsyncSpecTest, WindowAndThreadsRideInSpecStrings) {
-  const Graph g = testing::MakeTestBA(60, 3);
-  SessionOptions opts;
-  opts.seed = 7;
-  auto session =
-      SamplingSession::Open(&g, "we:mhrw?diameter=4&window=4&threads=2", opts);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  std::vector<NodeId> samples;
-  ASSERT_TRUE((*session)->DrawInto(&samples, 5).ok());
-  EXPECT_EQ((*session)->Stats().async_window, 4);
-  // The reserved keys survive in the canonical spec round-trip.
-  EXPECT_NE((*session)->Stats().spec.find("window=4"), std::string::npos);
-}
-
-TEST(AsyncSpecTest, MalformedExecutorParamsAreStatuses) {
-  const Graph g = testing::MakeTestBA(40, 3);
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?window=0").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      SamplingSession::Open(&g, "burnin:srw?window=9999").status().code(),
-      StatusCode::kInvalidArgument);
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?threads=4").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      SamplingSession::Open(&g, "burnin:srw?window=two").status().code(),
-      StatusCode::kInvalidArgument);
-  // Spec-sized executor conflicting with an explicit shared one fails
-  // loudly instead of silently dropping the spec's request.
-  SessionOptions with_executor;
-  with_executor.executor = std::make_shared<CompletionExecutor>(AsyncOptions{});
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw?window=4", with_executor)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  SessionOptions both;
-  both.async = AsyncOptions{};
-  both.executor = std::make_shared<CompletionExecutor>(AsyncOptions{});
-  EXPECT_EQ(SamplingSession::Open(&g, "burnin:srw", both).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(WalkerPoolTest, PoolOutputsAreWindowInvariant) {
-  const Graph g = testing::MakeTestBA(150, 3);
-  WalkerPoolOptions narrow;
-  narrow.walkers = 4;
-  narrow.samples_per_walker = 6;
-  narrow.session.seed = 31;
-  narrow.session.async = AsyncOptions{.window = 1};
-  auto one = RunWalkerPool(&g, "we:mhrw?diameter=4", narrow);
-  ASSERT_TRUE(one.ok()) << one.status().ToString();
-
-  WalkerPoolOptions wide = narrow;
-  wide.session.async = AsyncOptions{.window = 8};
-  auto eight = RunWalkerPool(&g, "we:mhrw?diameter=4", wide);
-  ASSERT_TRUE(eight.ok());
-
-  // Scheduling freedom must not leak into outputs or billing.
-  EXPECT_EQ(one->samples, eight->samples);
-  ASSERT_EQ(one->stats.size(), 4u);
-  for (size_t w = 0; w < 4; ++w) {
-    EXPECT_EQ(one->stats[w].query_cost, eight->stats[w].query_cost) << w;
-    EXPECT_EQ(one->samples[w].size(), 6u) << w;
-  }
-  // Walkers are genuinely distinct chains.
-  EXPECT_NE(one->samples[0], one->samples[1]);
-}
-
-TEST(WalkerPoolTest, PoolValidatesInput) {
-  const Graph g = testing::MakeTestBA(40, 3);
-  WalkerPoolOptions options;
-  options.walkers = 0;
-  EXPECT_EQ(RunWalkerPool(&g, "burnin:srw", options).status().code(),
-            StatusCode::kInvalidArgument);
-  options.walkers = 2;
-  EXPECT_EQ(RunWalkerPool(&g, "nope:srw", options).status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST(WalkerPoolTest, SharedExecutorSeesAllWalkers) {
-  const Graph g = testing::MakeTestBA(150, 3);
-  auto executor =
-      std::make_shared<CompletionExecutor>(AsyncOptions{.window = 4});
-  WalkerPoolOptions options;
-  options.walkers = 3;
-  options.samples_per_walker = 4;
-  options.session.seed = 11;
-  options.session.executor = executor;
-  auto result = RunWalkerPool(&g, "we:mhrw?diameter=4", options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const auto stats = executor->stats();
-  EXPECT_GT(stats.submitted, 0u);
-  EXPECT_EQ(stats.submitted, stats.completed);
-  uint64_t total_fetches = 0;
-  for (const SessionStats& s : result->stats) {
-    total_fetches += s.backend_fetches;
-    EXPECT_EQ(s.async_window, 4);
-  }
-  // Every backend fetch of every walker flowed through the shared window.
-  EXPECT_EQ(stats.completed, total_fetches);
 }
 
 }  // namespace
